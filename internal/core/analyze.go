@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cdrstoch/internal/dist"
-	"cdrstoch/internal/kron"
 	"cdrstoch/internal/lump"
 	"cdrstoch/internal/markov"
 	"cdrstoch/internal/multigrid"
@@ -20,9 +19,7 @@ import (
 // reaching tolerance. Callers (the HTTP service in particular) match it
 // with errors.Is to trigger postmortem handling — flight-recorder dumps
 // attached to the error response — distinct from plain input errors.
-// It aliases the kron package's sentinel (core imports kron, never the
-// reverse), so a matrix-free solve's failure matches under either name.
-var ErrUnconverged = kron.ErrUnconverged
+var ErrUnconverged = errors.New("did not converge")
 
 // SolveOptions configures the stationary analysis.
 type SolveOptions struct {
@@ -88,9 +85,9 @@ func (m *Model) Hierarchy(minSegLen int) ([]*lump.Partition, error) {
 // counterParts continues the coarsening across the counter dimension —
 // adjacent counter states merge elementwise — once the phase dimension
 // has been reduced to segLen points per segment, until at most three
-// counter states remain per data state. Shared by the explicit hierarchy
-// (Hierarchy, below the phase-pair levels) and the matrix-free solve
-// (below the aggregated Kronecker restriction).
+// counter states remain per data state. Hierarchy uses it below the
+// phase-pair levels; the matrix-free solve uses it directly when the phase
+// grid is too short to pair further.
 func (m *Model) counterParts(segLen int) ([]*lump.Partition, error) {
 	var parts []*lump.Partition
 	counters := m.C
@@ -117,6 +114,13 @@ func (m *Model) Solve(opt SolveOptions) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
+	return m.analyze(solver)
+}
+
+// analyze runs a configured solver from the uniform start and derives the
+// standard performance measures; an exhausted cycle budget is reported as
+// ErrUnconverged.
+func (m *Model) analyze(solver *multigrid.Solver) (*Analysis, error) {
 	start := time.Now()
 	res, err := solver.Solve(nil)
 	if err != nil {
@@ -136,11 +140,11 @@ func (m *Model) Solve(opt SolveOptions) (*Analysis, error) {
 
 // SolveKron computes the stationary distribution without materializing
 // the TPM: the chain's Kronecker descriptor (the model's Desc, built on
-// demand for explicit models) stays implicit at the finest level of the
-// multigrid.KronSolver, whose first restriction folds the phase-pair
-// coarsening — all the levels Hierarchy would build explicitly, down to
-// MinSegLen — into one aggregated explicit coarse matrix, with the
-// counter lumping continuing below it. Memory stays at a few state-sized
+// demand for explicit models) stays implicit at the finest level of a
+// multigrid.NewKron solver, whose first restriction folds up to two
+// phase pairings into one aggregated explicit coarse matrix; the rest of
+// the phase-pair coarsening and the counter lumping continue below it as
+// ordinary explicit levels. Memory stays at a few state-sized
 // vectors plus the coarse hierarchy; the product matrix never exists.
 func (m *Model) SolveKron(opt SolveOptions) (*Analysis, error) {
 	opt = opt.withDefaults()
@@ -156,23 +160,31 @@ func (m *Model) SolveKron(opt SolveOptions) (*Analysis, error) {
 	// The implicit restriction folds at most two phase pairings: deeper
 	// folds skip too many smoothing levels and the cycle stalls on wide
 	// phase grids, while two keep the explicit coarse matrix at ~1/16 of
-	// the product nnz. Below it, phase pairing continues level by level on
-	// the explicit coarse hierarchy exactly as the assembled solve does.
+	// the product nnz. Below it, the hierarchy continues with exactly the
+	// explicit solve's partitions.
 	const maxImplicitAgg = 2
 	agg := 0
-	mc := m.M
-	for mc > opt.MinSegLen && agg < maxImplicitAgg {
-		mc = (mc + 1) / 2
+	for mc := m.M; mc > opt.MinSegLen && agg < maxImplicitAgg; mc = (mc + 1) / 2 {
 		agg++
 	}
-	if agg == 0 {
+	var parts []*lump.Partition
+	var err error
+	if agg > 0 {
+		parts, err = m.Hierarchy(opt.MinSegLen)
+		if err == nil {
+			parts = parts[agg:]
+		}
+	} else {
 		// Phase grid already at or below MinSegLen: the implicit restriction
 		// still needs one coarsening step to produce its explicit level.
 		if m.M < 2 {
 			return nil, errors.New("core: phase grid too small for the matrix-free solver")
 		}
 		agg = 1
-		mc = (m.M + 1) / 2
+		parts, err = m.counterParts((m.M + 1) / 2)
+	}
+	if err != nil {
+		return nil, err
 	}
 	workers := opt.Multigrid.Workers
 	if workers == 0 {
@@ -183,42 +195,11 @@ func (m *Model) SolveKron(opt SolveOptions) (*Analysis, error) {
 		}
 	}
 	d.SetWorkers(workers)
-	var parts []*lump.Partition
-	segLen := mc
-	if segLen > opt.MinSegLen {
-		pp, err := multigrid.BuildPairHierarchy(segLen, m.D*m.C, opt.MinSegLen)
-		if err != nil {
-			return nil, err
-		}
-		parts = pp
-		for segLen > opt.MinSegLen {
-			segLen = (segLen + 1) / 2
-		}
-	}
-	cp, err := m.counterParts(segLen)
-	if err != nil {
-		return nil, err
-	}
-	parts = append(parts, cp...)
 	solver, err := multigrid.NewKron(d, agg, parts, opt.Multigrid)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	res, err := solver.Solve(nil)
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	if !res.Converged {
-		return nil, fmt.Errorf("core: multigrid %w: %v", ErrUnconverged, res)
-	}
-	return &Analysis{
-		Pi:        res.Pi,
-		BER:       m.BER(res.Pi),
-		Multigrid: res,
-		SolveTime: elapsed,
-	}, nil
+	return m.analyze(solver)
 }
 
 // SolveDirect computes the stationary distribution with dense GTH — exact,

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cdrstoch/internal/dist"
-	"cdrstoch/internal/kron"
 	"cdrstoch/internal/markov"
 )
 
@@ -384,7 +383,11 @@ func TestDescriptorStationaryMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.StationaryPower(kron.PowerOptions{Tol: 1e-12, MaxIter: 200000, Damping: 0.9})
+	ch, err := markov.NewOperator(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ch.StationaryPower(markov.Options{Tol: 1e-12, MaxIter: 200000, Damping: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

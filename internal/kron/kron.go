@@ -11,7 +11,8 @@
 // the component matrices' nonzeros times the remaining dimensions. A
 // Descriptor satisfies markov.Operator (Dims, MulVec, VecMul, Diag,
 // RowSums), so every operator-backed markov solver — power, Jacobi,
-// GMRES — and the multigrid Kron path run directly on the implicit form.
+// GMRES — and the multigrid solver's implicit finest level (NewKron) run
+// directly on the implicit form.
 package kron
 
 import (
@@ -21,13 +22,6 @@ import (
 
 	"cdrstoch/internal/spmat"
 )
-
-// ErrUnconverged marks an iterative Kron solve that exhausted its budget
-// without reaching tolerance. core.ErrUnconverged aliases this sentinel
-// (core imports kron, never the reverse), so errors.Is matches a Kron
-// solve's failure against either name — the service's postmortem and
-// retry classification work unchanged for the matrix-free path.
-var ErrUnconverged = errors.New("did not converge")
 
 // Term is one Kronecker-product summand c·(F₁ ⊗ F₂ ⊗ … ⊗ F_C).
 type Term struct {

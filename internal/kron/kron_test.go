@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cdrstoch/internal/markov"
 	"cdrstoch/internal/spmat"
 )
 
@@ -169,7 +170,11 @@ func TestDescriptorOfProductChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.StationaryPower(PowerOptions{Tol: 1e-13})
+	ch, err := markov.NewOperator(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ch.StationaryPower(markov.Options{Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}

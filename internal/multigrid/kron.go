@@ -1,72 +1,54 @@
 package multigrid
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
 	"cdrstoch/internal/kron"
 	"cdrstoch/internal/lump"
-	"cdrstoch/internal/obs"
-	"cdrstoch/internal/obs/cost"
 	"cdrstoch/internal/spmat"
 )
 
-// KronSolver is the multilevel aggregation solver for a chain whose TPM
-// exists only as a Kronecker descriptor. The finest level stays implicit:
-// smoothing runs matrix-free through the descriptor's shuffle products
-// (weighted Jacobi — the one splitting that needs only y = x·P and the
-// diagonal, both of which a descriptor provides without a transpose).
-// The first restriction lumps the innermost tensor mode — the phase-error
-// discretization in the CDR model — AggLevels pairings at once, producing
-// an explicit coarse CSR roughly 2^AggLevels smaller than the global nnz;
-// from there the ordinary explicit hierarchy (Solver) takes over. The
-// coarse matrix's sparsity pattern is fixed at construction; each cycle
+// kronLevel is an implicit finest level: the TPM exists only as a
+// Kronecker descriptor. Smoothing runs matrix-free through the
+// descriptor's shuffle products (weighted Jacobi — the one splitting that
+// needs only y = x·P and the diagonal, both of which a descriptor provides
+// without a transpose). Restriction lumps the innermost tensor mode — the
+// phase-error discretization in the CDR model — agg pairings at once into
+// the explicit coarse level below, roughly 2^agg smaller than the global
+// nnz. That level's sparsity pattern is fixed at construction; each cycle
 // rewrites only its values with the iterate-weighted (Horton–Leutenegger)
 // aggregation, so cycles allocate nothing.
-type KronSolver struct {
+type kronLevel struct {
 	d   *kron.Descriptor
-	cfg Config
-	agg int // innermost-mode pairings folded into the first restriction
+	agg int // innermost-mode pairings folded into the restriction
+	m   int // fine innermost (phase) size
+	mc  int // coarse innermost size after agg pairings
 
-	n    int // fine dimension
-	m    int // fine innermost (phase) size
-	mc   int // coarse innermost size after agg pairings
-	segs int // n / m: outer-mode segment count
-	nc   int // coarse dimension segs·mc
-
-	diag []float64 // fine diagonal, cached at construction
-	ws   kron.Workspace
-	y    []float64 // fine product buffer
-	pool *spmat.Pool
-
-	pc    *spmat.CSR // coarse matrix: fixed pattern, values refreshed per cycle
+	diag  []float64 // fine diagonal, cached at construction
+	ws    kron.Workspace
+	y     []float64 // fine product buffer
 	it    *kron.RowIter
-	inner *Solver // explicit hierarchy below the coarse level; nil when parts empty
-	gth   spmat.GTHWorkspace
+	omega float64
+	pool  *spmat.Pool
+
+	next  *csrLevel // the aggregated coarse level; its matrix is rewritten per cycle
 	xcOld []float64 // restricted block masses (pre-correction)
-	xcNew []float64 // coarse solve iterate
-
-	rawTrace obs.Tracer
-	curCycle int
-
-	fineVisits, coarseVisits int
-	fineNS, coarseNS         int64
+	xc    []float64 // coarse iterate handed to the recursion
 }
 
-// NewKron validates the aggregation layout and builds the solver. The
-// descriptor's innermost component is paired aggLevels times in the first
-// restriction (its size m coarsens to the aggLevels-fold iterated ceiling
-// of m/2); parts then describes the explicit hierarchy below that coarse
-// level and must partition its nc states (empty parts solve the coarse
-// level directly with GTH). Construction enumerates every implicit fine
-// row once to fix the coarse sparsity pattern — O(global nnz) time but
-// only O(coarse nnz) memory, which is the point: the global matrix never
-// exists.
-func NewKron(d *kron.Descriptor, aggLevels int, parts []*lump.Partition, cfg Config) (*KronSolver, error) {
+// NewKron builds a solver whose finest level is the implicit descriptor d.
+// The descriptor's innermost component is paired aggLevels times in the
+// first restriction (its size m coarsens to the aggLevels-fold iterated
+// ceiling of m/2), producing an explicit coarse level of nc states; parts
+// then describes the explicit hierarchy below that level exactly as for
+// New (empty parts solve the coarse level directly with GTH).
+// Construction enumerates every implicit fine row once to fix the coarse
+// sparsity pattern — O(global nnz) time but only O(coarse nnz) memory,
+// which is the point: the global matrix never exists.
+func NewKron(d *kron.Descriptor, aggLevels int, parts []*lump.Partition, cfg Config) (*Solver, error) {
 	sizes := d.Sizes()
 	if len(sizes) == 0 {
 		return nil, errors.New("multigrid: empty descriptor")
@@ -86,63 +68,46 @@ func NewKron(d *kron.Descriptor, aggLevels int, parts []*lump.Partition, cfg Con
 		return nil, fmt.Errorf("multigrid: %d pairings do not coarsen innermost size %d", aggLevels, m)
 	}
 	n := d.Dim()
-	segs := n / m
-	s := &KronSolver{
-		d: d, agg: aggLevels,
-		n: n, m: m, mc: mc, segs: segs, nc: segs * mc,
-		rawTrace: cfg.Trace,
+	nc := n / m * mc
+	s := newSolver(cfg)
+	lv := &kronLevel{
+		d: d, agg: aggLevels, m: m, mc: mc,
+		diag:  d.Diag(),
+		y:     make([]float64, n),
+		it:    d.NewRowIter(),
+		omega: s.cfg.Damping,
+		pool:  s.pool,
+		xcOld: make([]float64, nc),
+		xc:    make([]float64, nc),
 	}
-	s.cfg = cfg.withDefaults()
-	s.pool = s.cfg.Pool
-	if s.pool == nil {
-		s.pool = spmat.NewPool(s.cfg.Workers)
-	}
-	s.diag = d.Diag()
-	s.y = make([]float64, n)
-	s.it = d.NewRowIter()
-	s.xcOld = make([]float64, s.nc)
-	s.xcNew = make([]float64, s.nc)
-	if err := s.buildCoarsePattern(); err != nil {
+	pc, err := lv.buildCoarsePattern(nc)
+	if err != nil {
 		return nil, err
 	}
-	if len(parts) > 0 {
-		innerCfg := s.cfg
-		innerCfg.Refreshable = true
-		innerCfg.Pool = s.pool
-		// The inner hierarchy runs uninstrumented: the outer solve owns the
-		// meter (one pool delta, one level report) and checks cancellation
-		// and faults at its own cycle boundaries, so a shared context here
-		// would double-attribute the coarse work.
-		innerCfg.Ctx = nil
-		innerCfg.Faults = nil
-		innerCfg.Trace = nil
-		if innerCfg.MaxCycles > 30 {
-			innerCfg.MaxCycles = 30
-		}
-		inner, err := New(s.pc, parts, innerCfg)
-		if err != nil {
-			return nil, fmt.Errorf("multigrid: coarse hierarchy: %w", err)
-		}
-		s.inner = inner
+	s.levels = append(s.levels, lv)
+	s.sizes = append(s.sizes, n)
+	if err := s.addExplicit(pc, parts, false); err != nil {
+		return nil, err
 	}
+	lv.next = s.levels[1].(*csrLevel)
 	return s, nil
 }
 
 // blockOf maps a fine state index to its coarse aggregate: the outer-mode
 // segment is kept, the innermost (phase) digit drops agg bits — integer
 // halving composed agg times is exactly one shift, ragged tails included.
-func (s *KronSolver) blockOf(i int) int {
-	seg := i / s.m
-	return seg*s.mc + (i-seg*s.m)>>s.agg
+func (lv *kronLevel) blockOf(i int) int {
+	seg := i / lv.m
+	return seg*lv.mc + (i-seg*lv.m)>>lv.agg
 }
 
 // blockSize returns the fine-state count of coarse aggregate I (the last
 // phase block of each segment may be ragged).
-func (s *KronSolver) blockSize(I int) int {
-	lo := (I % s.mc) << s.agg
-	hi := lo + 1<<s.agg
-	if hi > s.m {
-		hi = s.m
+func (lv *kronLevel) blockSize(I int) int {
+	lo := (I % lv.mc) << lv.agg
+	hi := lo + 1<<lv.agg
+	if hi > lv.m {
+		hi = lv.m
 	}
 	return hi - lo
 }
@@ -150,24 +115,19 @@ func (s *KronSolver) blockSize(I int) int {
 // buildCoarsePattern fixes the coarse matrix's sparsity: the union, over
 // each aggregate's fine rows, of the aggregated column indices. Values
 // start at zero; refreshCoarse rewrites them every cycle.
-func (s *KronSolver) buildCoarsePattern() error {
-	rowPtr := make([]int, s.nc+1)
+func (lv *kronLevel) buildCoarsePattern(nc int) (*spmat.CSR, error) {
+	rowPtr := make([]int, nc+1)
 	var colIdx []int
 	var scratch []int
 	visit := func(j int, _ float64) {
-		seg := j / s.m
-		scratch = append(scratch, seg*s.mc+(j-seg*s.m)>>s.agg)
+		scratch = append(scratch, lv.blockOf(j))
 	}
-	for I := 0; I < s.nc; I++ {
+	for I := 0; I < nc; I++ {
 		scratch = scratch[:0]
-		seg := I / s.mc
-		lo := (I % s.mc) << s.agg
-		hi := lo + 1<<s.agg
-		if hi > s.m {
-			hi = s.m
-		}
-		for p := lo; p < hi; p++ {
-			s.it.Row(seg*s.m+p, visit)
+		seg := I / lv.mc
+		lo := (I % lv.mc) << lv.agg
+		for p := lo; p < lo+lv.blockSize(I); p++ {
+			lv.it.Row(seg*lv.m+p, visit)
 		}
 		sort.Ints(scratch)
 		for k, J := range scratch {
@@ -177,12 +137,11 @@ func (s *KronSolver) buildCoarsePattern() error {
 		}
 		rowPtr[I+1] = len(colIdx)
 	}
-	pc, err := spmat.NewCSR(s.nc, s.nc, rowPtr, colIdx, make([]float64, len(colIdx)))
+	pc, err := spmat.NewCSR(nc, nc, rowPtr, colIdx, make([]float64, len(colIdx)))
 	if err != nil {
-		return fmt.Errorf("multigrid: coarse pattern: %w", err)
+		return nil, fmt.Errorf("multigrid: coarse pattern: %w", err)
 	}
-	s.pc = pc
-	return nil
+	return pc, nil
 }
 
 // refreshCoarse recomputes the coarse values with the current iterate's
@@ -190,272 +149,81 @@ func (s *KronSolver) buildCoarsePattern() error {
 // leaves the block masses ‖x‖_I in xcOld for the later disaggregation.
 // Aggregates that carry no iterate mass fall back to uniform weights so
 // the coarse chain stays stochastic.
-func (s *KronSolver) refreshCoarse(x []float64) {
-	vals := s.pc.RawValues()
-	for k := range vals {
-		vals[k] = 0
-	}
-	for I := range s.xcOld {
-		s.xcOld[I] = 0
-	}
+func (lv *kronLevel) refreshCoarse(x []float64) {
+	pc := lv.next.p
+	vals := pc.RawValues()
+	clear(vals)
+	clear(lv.xcOld)
 	for i, v := range x {
-		s.xcOld[s.blockOf(i)] += v
+		lv.xcOld[lv.blockOf(i)] += v
 	}
 	var curI int
 	var curW float64
 	visit := func(j int, v float64) {
-		seg := j / s.m
-		J := seg*s.mc + (j-seg*s.m)>>s.agg
-		vals[s.pc.EntryIndex(curI, J)] += curW * v
+		vals[pc.EntryIndex(curI, lv.blockOf(j))] += curW * v
 	}
 	for i := range x {
-		curI = s.blockOf(i)
-		if mass := s.xcOld[curI]; mass > 0 {
+		curI = lv.blockOf(i)
+		if mass := lv.xcOld[curI]; mass > 0 {
 			curW = x[i] / mass
 		} else {
-			curW = 1 / float64(s.blockSize(curI))
+			curW = 1 / float64(lv.blockSize(curI))
 		}
 		if curW == 0 {
 			continue
 		}
-		s.it.Row(i, visit)
+		lv.it.Row(i, visit)
 	}
 }
 
-// smoothFine runs steps weighted-Jacobi sweeps on the implicit level:
+// smooth runs steps weighted-Jacobi sweeps on the implicit level:
 // x_i ← (1−ω)x_i + ω·((x·P)_i − P_ii·x_i)/(1 − P_ii), the transpose-free
 // splitting, with one shuffle product per sweep accounted on the pool.
-func (s *KronSolver) smoothFine(x []float64, steps int) {
-	omega := s.cfg.Damping
+func (lv *kronLevel) smooth(x []float64, steps int) {
+	omega := lv.omega
 	for t := 0; t < steps; t++ {
-		start := time.Now()
-		s.d.VecMulWs(&s.ws, s.y, x)
-		s.pool.CountExternal(1, int(s.d.OpsPerMul()), start)
+		lv.residual(lv.y, x)
 		for i := range x {
-			den := 1 - s.diag[i]
+			den := 1 - lv.diag[i]
 			if den < 1e-14 {
 				continue // absorbing-in-isolation state: leave mass as is
 			}
-			gs := (s.y[i] - s.diag[i]*x[i]) / den
+			gs := (lv.y[i] - lv.diag[i]*x[i]) / den
 			x[i] = (1-omega)*x[i] + omega*gs
 		}
-		norm := 0.0
-		for _, v := range x {
-			norm += v
-		}
-		if norm > 0 {
-			inv := 1 / norm
-			for i := range x {
-				x[i] *= inv
-			}
-		}
+		normalize(x)
 	}
 }
 
-// coarseSolve improves the restricted iterate: through the inner explicit
-// hierarchy when one exists (its finest values refreshed in place from
-// the just-rebuilt coarse matrix), by direct GTH otherwise, with damped
-// power sweeps as the reducible-chain fallback.
-func (s *KronSolver) coarseSolve() error {
-	copy(s.xcNew, s.xcOld)
-	if s.inner != nil {
-		if err := s.inner.RefreshFine(s.pc); err != nil {
-			return err
-		}
-		res, err := s.inner.Solve(s.xcNew)
-		if err != nil {
-			return err
-		}
-		copy(s.xcNew, res.Pi)
-		return nil
-	}
-	if pi, err := s.gth.StationaryCSR(s.pc); err == nil {
-		copy(s.xcNew, pi)
-		return nil
-	}
-	buf := make([]float64, s.nc)
-	omega := s.cfg.Damping
-	for t := 0; t < s.cfg.CoarsestMaxIter; t++ {
-		s.pc.VecMul(buf, s.xcNew)
-		norm := 0.0
-		for i := range s.xcNew {
-			s.xcNew[i] = (1-omega)*s.xcNew[i] + omega*buf[i]
-			norm += s.xcNew[i]
-		}
-		if norm > 0 {
-			inv := 1 / norm
-			for i := range s.xcNew {
-				s.xcNew[i] *= inv
-			}
-		}
-	}
-	return nil
+// restrict rebuilds the coarse level's values from x and hands the block
+// masses to the recursion, keeping a copy for prolong.
+func (lv *kronLevel) restrict(x []float64) ([]float64, error) {
+	lv.refreshCoarse(x)
+	lv.next.p.RefreshTranspose(lv.next.pt, lv.next.perm)
+	copy(lv.xc, lv.xcOld)
+	return lv.xc, nil
 }
 
 // prolong disaggregates the coarse correction multiplicatively: states in
-// aggregate I are rescaled by xcNew[I]/xcOld[I], preserving the smoothed
+// aggregate I are rescaled by xc[I]/xcOld[I], preserving the smoothed
 // within-block shape; blocks that had no mass receive theirs uniformly.
-func (s *KronSolver) prolong(x []float64) {
+func (lv *kronLevel) prolong(x, xc []float64) []float64 {
 	for i := range x {
-		I := s.blockOf(i)
-		if s.xcOld[I] > 0 {
-			x[i] *= s.xcNew[I] / s.xcOld[I]
+		I := lv.blockOf(i)
+		if lv.xcOld[I] > 0 {
+			x[i] *= xc[I] / lv.xcOld[I]
 		} else {
-			x[i] = s.xcNew[I] / float64(s.blockSize(I))
+			x[i] = xc[I] / float64(lv.blockSize(I))
 		}
 	}
-	norm := 0.0
-	for _, v := range x {
-		norm += v
-	}
-	if norm > 0 {
-		inv := 1 / norm
-		for i := range x {
-			x[i] *= inv
-		}
-	}
+	normalize(x)
+	return x
 }
 
-// LevelSizes returns the state count of every level, finest first: the
-// implicit fine level, the aggregated coarse level, then the inner
-// explicit hierarchy's coarser levels.
-func (s *KronSolver) LevelSizes() []int {
-	sizes := []int{s.n}
-	if s.inner != nil {
-		sizes = append(sizes, s.inner.LevelSizes()...)
-	} else {
-		sizes = append(sizes, s.nc)
-	}
-	return sizes
-}
-
-// workspaceBytes estimates the solver's heap footprint beyond the
-// descriptor itself: the coarse matrix and hierarchy, the fine-level
-// vectors, and the shuffle scratch.
-func (s *KronSolver) workspaceBytes() int64 {
-	b := s.pc.MemoryBytes()
-	b += int64(len(s.diag)+len(s.y)+len(s.xcOld)+len(s.xcNew)) * 8
-	b += 2 * int64(s.n) * 8 // shuffle ping-pong scratch
-	if s.inner != nil {
-		b += s.inner.workspaceBytes()
-	}
-	return b
-}
-
-// SetSolveContext rebinds the context consulted at every cycle boundary,
-// mirroring Solver.SetSolveContext for reused solvers.
-func (s *KronSolver) SetSolveContext(ctx context.Context) {
-	s.cfg.Ctx = ctx
-	s.cfg.Trace = obs.StampFromContext(ctx, s.rawTrace)
-}
-
-// Solve runs aggregation cycles from x0 (uniform when nil) until the
-// residual criterion is met or MaxCycles is exhausted. One cycle is:
-// pre-smooth the implicit level, rebuild the coarse values with the
-// iterate's weights, solve the coarse chain, disaggregate, post-smooth,
-// then measure ‖xP − x‖₁ with one shuffle product.
-func (s *KronSolver) Solve(x0 []float64) (Result, error) {
-	x := make([]float64, s.n)
-	if x0 == nil {
-		for i := range x {
-			x[i] = 1 / float64(s.n)
-		}
-	} else {
-		if len(x0) != s.n {
-			return Result{}, fmt.Errorf("multigrid: x0 length %d, want %d", len(x0), s.n)
-		}
-		copy(x, x0)
-		sum := 0.0
-		for _, v := range x {
-			if v < 0 {
-				return Result{}, errors.New("multigrid: negative initial mass")
-			}
-			sum += v
-		}
-		if sum <= 0 {
-			return Result{}, errors.New("multigrid: zero initial mass")
-		}
-		for i := range x {
-			x[i] /= sum
-		}
-	}
-
-	res := Result{
-		LevelSizes:      s.LevelSizes(),
-		ResidualHistory: make([]float64, 0, s.cfg.MaxCycles),
-	}
-	s.fineVisits, s.coarseVisits = 0, 0
-	s.fineNS, s.coarseNS = 0, 0
-	endSpan := obs.StartSpan(s.cfg.Trace, "multigrid-kron")
-	defer endSpan()
-	meter := cost.FromContext(s.cfg.Ctx)
-	if meter != nil {
-		stats0 := s.pool.Stats()
-		meter.SampleGoroutines()
-		defer func() {
-			meter.AddCycles(int64(res.Cycles))
-			meter.AddPoolDelta(stats0, s.pool.Stats())
-			meter.AddWorkspaceBytes(s.workspaceBytes())
-			meter.SetLevels([]cost.LevelCost{
-				{Level: 0, Size: s.n, Visits: s.fineVisits, SmoothNS: s.fineNS},
-				{Level: 1, Size: s.nc, Visits: s.coarseVisits, SmoothNS: s.coarseNS},
-			})
-			meter.SampleGoroutines()
-		}()
-	}
-	for c := 1; c <= s.cfg.MaxCycles; c++ {
-		if s.cfg.Ctx != nil {
-			if cerr := s.cfg.Ctx.Err(); cerr != nil {
-				return Result{}, fmt.Errorf("multigrid: kron solve stopped after %d of %d cycles (residual %.3e): %w",
-					res.Cycles, s.cfg.MaxCycles, res.Residual, cerr)
-			}
-		}
-		if ferr := s.cfg.Faults.FireCtx(s.cfg.Ctx, "multigrid.cycle"); ferr != nil {
-			return Result{}, fmt.Errorf("multigrid: kron solve stopped after %d of %d cycles (residual %.3e): %w",
-				res.Cycles, s.cfg.MaxCycles, res.Residual, ferr)
-		}
-		s.curCycle = c
-		obs.LevelEvent(s.cfg.Trace, "multigrid", c, 0, s.n)
-		s.fineVisits++
-		start := time.Now()
-		s.smoothFine(x, s.cfg.PreSmooth)
-		s.fineNS += time.Since(start).Nanoseconds()
-
-		obs.LevelEvent(s.cfg.Trace, "multigrid", c, 1, s.nc)
-		s.coarseVisits++
-		start = time.Now()
-		s.refreshCoarse(x)
-		if err := s.coarseSolve(); err != nil {
-			return Result{}, err
-		}
-		s.coarseNS += time.Since(start).Nanoseconds()
-		s.prolong(x)
-
-		start = time.Now()
-		s.smoothFine(x, s.cfg.PostSmooth)
-		s.fineNS += time.Since(start).Nanoseconds()
-
-		mulStart := time.Now()
-		s.d.VecMulWs(&s.ws, s.y, x)
-		s.pool.CountExternal(1, int(s.d.OpsPerMul()), mulStart)
-		r := 0.0
-		for i := range x {
-			r += math.Abs(s.y[i] - x[i])
-		}
-		res.Cycles = c
-		res.Residual = r
-		res.ResidualHistory = append(res.ResidualHistory, r)
-		obs.IterEvent(s.cfg.Trace, "multigrid", c, r)
-		meter.AddResidual(r)
-		if r <= s.cfg.Tol {
-			res.Converged = true
-			break
-		}
-	}
-	res.Pi = x
-	res.LevelStats = []LevelStat{
-		{Level: 0, Size: s.n, Visits: s.fineVisits, SmoothNS: s.fineNS},
-		{Level: 1, Size: s.nc, Visits: s.coarseVisits, SmoothNS: s.coarseNS},
-	}
-	return res, nil
+// residual computes y = x·P with one shuffle product, accounted on the
+// pool like an explicit SpMV.
+func (lv *kronLevel) residual(y, x []float64) {
+	start := time.Now()
+	lv.d.VecMulWs(&lv.ws, y, x)
+	lv.pool.CountExternal(1, int(lv.d.OpsPerMul()), start)
 }

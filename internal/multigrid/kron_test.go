@@ -163,9 +163,14 @@ func TestKronSolverCancellation(t *testing.T) {
 
 func TestKronSolverCostAccounting(t *testing.T) {
 	d := kronTestDescriptor(t, 26, 8)
+	// Two pairings (phase 8 → 2), then one explicit level pairs down to 1.
+	parts, err := BuildPairHierarchy(2, d.Dim()/8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	meter := cost.NewMeter()
 	ctx := cost.ContextWith(context.Background(), meter)
-	s, err := NewKron(d, 2, nil, Config{Tol: 1e-12, Ctx: ctx})
+	s, err := NewKron(d, 2, parts, Config{Tol: 1e-12, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,5 +188,10 @@ func TestKronSolverCostAccounting(t *testing.T) {
 	}
 	if rep.WorkspaceBytes <= 0 {
 		t.Fatal("no workspace bytes reported")
+	}
+	// One level report for the whole hierarchy: implicit, aggregated, and
+	// the explicit level below.
+	if len(res.LevelSizes) != 3 || len(rep.Levels) != 3 || len(res.LevelStats) != 3 {
+		t.Fatalf("levels: sizes %v, meter %d, stats %d", res.LevelSizes, len(rep.Levels), len(res.LevelStats))
 	}
 }

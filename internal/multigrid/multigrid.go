@@ -2,9 +2,14 @@
 // stationary distributions of large Markov chains, in the style of
 // Horton & Leutenegger (the method the paper employs): a hierarchy of
 // recursively lumped chains, iterate-weighted aggregation and
-// disaggregation between levels, simple (damped) power/Gauss–Jacobi
-// smoothing interleaved with the lumping and expanding steps, and an
-// exact direct solve (subtraction-free GTH) at the coarsest level.
+// disaggregation between levels, smoothing interleaved with the lumping
+// and expanding steps, and an exact direct solve (subtraction-free GTH)
+// at the coarsest level.
+//
+// Explicit (CSR) levels smooth with relaxed Gauss–Seidel over the level's
+// transpose. A finest level kept implicit as a Kronecker descriptor
+// (NewKron) has no transpose to sweep, so it smooths with weighted Jacobi
+// over one shuffle product per sweep; every level below it is explicit.
 //
 // The coarsening strategy is supplied by the caller as a chain of
 // partitions; for the CDR model, each partition lumps pairs of consecutive
@@ -41,15 +46,16 @@ const (
 
 // Config tunes the multilevel solver.
 type Config struct {
-	// PreSmooth is the number of damped power (Gauss–Jacobi) sweeps before
-	// descending to the coarse level. Default 1.
+	// PreSmooth is the number of smoothing sweeps before descending to the
+	// coarse level: relaxed Gauss–Seidel on explicit levels, weighted
+	// Jacobi on an implicit Kronecker finest level. Default 1.
 	PreSmooth int
-	// PostSmooth is the number of sweeps after the coarse-grid correction.
-	// Default 1.
+	// PostSmooth is the number of smoothing sweeps (of the same kind)
+	// after the coarse-grid correction. Default 1.
 	PostSmooth int
-	// Damping is the smoother's relaxation factor ω (Gauss–Seidel when 1,
-	// under-relaxed below 1). Default 0.9, robust on nearly periodic
-	// chains.
+	// Damping is the smoothers' relaxation factor ω (plain Gauss–Seidel or
+	// Jacobi when 1, under-relaxed below 1). Default 0.9, robust on nearly
+	// periodic chains.
 	Damping float64
 	// Tol is the convergence threshold on ‖xP − x‖₁. Default 1e-12.
 	Tol float64
@@ -73,9 +79,10 @@ type Config struct {
 	// Workers is the width of the parallel team used for the sparse
 	// products the cycle performs (the per-cycle residual on the finest
 	// level). 0 selects runtime.GOMAXPROCS, 1 forces serial; matrices
-	// below spmat.ParallelCutoff run serially regardless. The smoothing
-	// sweeps are Gauss–Seidel and therefore inherently sequential; they
-	// are not parallelized. Ignored when Pool is set.
+	// below spmat.ParallelCutoff run serially regardless. The Gauss–Seidel
+	// sweeps are inherently sequential and are not parallelized; an
+	// implicit finest level's shuffle products use the descriptor's own
+	// width (kron.Descriptor.SetWorkers). Ignored when Pool is set.
 	Workers int
 	// Pool, when non-nil, supplies an externally owned worker team (the
 	// service path shares pooled teams across requests so concurrent
@@ -157,25 +164,72 @@ func (r Result) String() string {
 		r.Cycles, r.Residual, r.Converged, r.LevelSizes)
 }
 
-// mgLevel is the per-level workspace of the hierarchy: the level's matrix,
-// its transpose (refreshed in place on coarse levels, whose values change
-// every cycle), the lumping plan down to the next level, and the coarse
-// iterate buffer. Everything is allocated once in New so the cycles run
-// allocation-free.
-type mgLevel struct {
-	p    *spmat.CSR // level matrix; level 0 is the caller's, others are plan-owned
-	pt   *spmat.CSR // transpose of p, used by the Gauss–Seidel smoother
-	perm []int      // p→pt value permutation for in-place refresh; nil at level 0
-	plan *lump.Plan // lumping onto the next level; nil at the coarsest
-	xc   []float64  // coarse iterate buffer; nil at the coarsest
+// level is one rung of the hierarchy. The cycle reaches every level above
+// the coarsest only through these four operations, so the explicit CSR
+// level and the implicit Kronecker level (kron.go) share one Solve, one
+// cycle, one cost path and one trace path.
+type level interface {
+	// smooth runs steps relaxation sweeps on x in place, keeping it
+	// normalized.
+	smooth(x []float64, steps int)
+	// restrict rewrites the next level's matrix values with x's
+	// aggregation weights (and refreshes that level's transpose), then
+	// returns x restricted to the next level's states.
+	restrict(x []float64) ([]float64, error)
+	// prolong disaggregates the corrected coarse iterate xc back onto x
+	// and returns x.
+	prolong(x, xc []float64) []float64
+	// residual computes y = x·P; the solve calls it on level 0 only.
+	residual(y, x []float64)
 }
 
-// Solver is a configured multilevel hierarchy for one transition matrix.
+// csrLevel is an explicit level of the hierarchy: the level's matrix, its
+// transpose (refreshed in place on coarse levels, whose values change
+// every cycle), the lumping plan down to the next level, and the coarse
+// iterate buffer. Everything is allocated once at construction so the
+// cycles run allocation-free.
+type csrLevel struct {
+	p     *spmat.CSR      // level matrix; the top level's is the caller's, others are plan-owned
+	pt    *spmat.CSR      // transpose of p, used by the Gauss–Seidel smoother
+	perm  []int           // p→pt value permutation for in-place refresh; nil when pt is shared
+	plan  *lump.Plan      // lumping onto the next level; nil at the coarsest
+	part  *lump.Partition // the partition plan lumps by; nil at the coarsest
+	xc    []float64       // coarse iterate buffer; nil at the coarsest
+	next  *csrLevel       // the level plan.Coarse() belongs to; nil at the coarsest
+	omega float64         // smoother relaxation factor
+	pool  *spmat.Pool     // team for the level-0 residual product
+}
+
+// smooth performs relaxed Gauss–Seidel sweeps over the level's transpose.
+func (lv *csrLevel) smooth(x []float64, steps int) { gaussSeidel(lv.pt, x, steps, lv.omega) }
+
+// restrict refreshes the next level's values through the lumping plan
+// and aggregates x into the coarse iterate buffer.
+func (lv *csrLevel) restrict(x []float64) ([]float64, error) {
+	if err := lv.plan.Update(x); err != nil {
+		return nil, err
+	}
+	lv.next.p.RefreshTranspose(lv.next.pt, lv.next.perm)
+	return lv.part.Restrict(lv.xc, x), nil
+}
+
+// prolong disaggregates with the plan's iterate weights.
+func (lv *csrLevel) prolong(x, xc []float64) []float64 {
+	return lv.part.Prolong(x, xc, lv.plan.Weights())
+}
+
+// residual gathers over the level's transpose: for a shared transpose
+// that is the matrix's own cache (the object VecMul would use), in
+// refreshable mode the solver-owned, value-current copy.
+func (lv *csrLevel) residual(y, x []float64) { lv.pool.VecMulT(lv.p, lv.pt, y, x) }
+
+// Solver is a configured multilevel hierarchy for one transition matrix,
+// explicit (New) or with an implicit Kronecker finest level (NewKron).
 type Solver struct {
-	p        *spmat.CSR
-	parts    []*lump.Partition
 	cfg      Config
-	levels   []*mgLevel
+	levels   []level   // finest first; the last is coarsest
+	coarsest *csrLevel // levels[len(levels)-1], solved directly
+	sizes    []int     // state count per level, finest first
 	gth      spmat.GTHWorkspace
 	pool     *spmat.Pool
 	curCycle int // cycle number stamped on level-visit trace events
@@ -184,14 +238,25 @@ type Solver struct {
 	// so SetSolveContext can restamp per-solve contexts on a reused solver.
 	rawTrace obs.Tracer
 
-	// Per-level work attribution, preallocated in New and reset per
-	// Solve so the cycles stay allocation-free.
+	// Per-level work attribution, preallocated at construction and reset
+	// per Solve so the cycles stay allocation-free.
 	levelVisits []int
 	levelWorkNS []int64
 
 	// resBufs holds the product buffers of Residuals, grown on demand and
 	// reused across calls.
 	resBufs [][]float64
+}
+
+// newSolver applies the configuration defaults and binds the worker team;
+// the constructors then append the levels.
+func newSolver(cfg Config) *Solver {
+	s := &Solver{rawTrace: cfg.Trace, cfg: cfg.withDefaults()}
+	s.pool = s.cfg.Pool
+	if s.pool == nil {
+		s.pool = spmat.NewPool(s.cfg.Workers)
+	}
+	return s
 }
 
 // New validates the partition chain against the matrix and returns a
@@ -209,58 +274,68 @@ func New(p *spmat.CSR, parts []*lump.Partition, cfg Config) (*Solver, error) {
 	if n != m {
 		return nil, errors.New("multigrid: TPM must be square")
 	}
-	size := n
+	s := newSolver(cfg)
+	// Unless the solver is refreshable the finest values never change, so
+	// level 0 shares the chain-owned cached transpose.
+	if err := s.addExplicit(p, parts, !s.cfg.Refreshable); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// addExplicit appends the explicit levels rooted at p — p itself, then one
+// lumped level per partition — and completes the hierarchy. The top level
+// shares p's cached transpose when shareTop is set; every other level owns
+// a transpose with a refresh permutation, since the cycle rewrites its
+// values.
+func (s *Solver) addExplicit(p *spmat.CSR, parts []*lump.Partition, shareTop bool) error {
+	size := dimOf(p)
 	for k, part := range parts {
 		if part.NumStates() != size {
-			return nil, fmt.Errorf("multigrid: partition %d covers %d states, level has %d",
+			return fmt.Errorf("multigrid: partition %d covers %d states, level has %d",
 				k, part.NumStates(), size)
 		}
 		if part.NumBlocks() >= size {
-			return nil, fmt.Errorf("multigrid: partition %d does not coarsen (%d -> %d)",
+			return fmt.Errorf("multigrid: partition %d does not coarsen (%d -> %d)",
 				k, size, part.NumBlocks())
 		}
 		size = part.NumBlocks()
 	}
-	rawTrace := cfg.Trace
-	cfg = cfg.withDefaults()
-	s := &Solver{p: p, parts: parts, cfg: cfg, pool: cfg.Pool, rawTrace: rawTrace}
-	if s.pool == nil {
-		s.pool = spmat.NewPool(cfg.Workers)
-	}
+	top := len(s.levels)
+	var prev *csrLevel
 	cur := p
-	s.levels = make([]*mgLevel, len(parts)+1)
-	for k := range s.levels {
-		lv := &mgLevel{p: cur}
-		if k == 0 && !cfg.Refreshable {
-			// The finest matrix's values never change; share the chain-owned
-			// cached transpose.
+	for k := 0; k <= len(parts); k++ {
+		lv := &csrLevel{p: cur, omega: s.cfg.Damping, pool: s.pool}
+		if k == 0 && shareTop {
 			lv.pt = cur.T()
 		} else {
 			lv.pt, lv.perm = cur.TransposeWithPerm()
 		}
+		if prev != nil {
+			prev.next = lv
+		}
+		s.levels = append(s.levels, lv)
+		s.sizes = append(s.sizes, dimOf(cur))
 		if k < len(parts) {
 			plan, err := lump.NewPlan(cur, parts[k])
 			if err != nil {
-				return nil, fmt.Errorf("multigrid: level %d: %w", k, err)
+				return fmt.Errorf("multigrid: level %d: %w", top+k, err)
 			}
-			lv.plan = plan
+			lv.plan, lv.part = plan, parts[k]
 			lv.xc = make([]float64, parts[k].NumBlocks())
 			cur = plan.Coarse()
 		}
-		s.levels[k] = lv
+		prev = lv
 	}
+	s.coarsest = prev
 	s.levelVisits = make([]int, len(s.levels))
 	s.levelWorkNS = make([]int64, len(s.levels))
-	return s, nil
+	return nil
 }
 
 // LevelSizes returns the state count of every level, finest first.
 func (s *Solver) LevelSizes() []int {
-	sizes := []int{dimOf(s.p)}
-	for _, part := range s.parts {
-		sizes = append(sizes, part.NumBlocks())
-	}
-	return sizes
+	return append([]int(nil), s.sizes...)
 }
 
 func dimOf(p *spmat.CSR) int {
@@ -268,14 +343,27 @@ func dimOf(p *spmat.CSR) int {
 	return n
 }
 
-// smooth performs steps relaxed Gauss–Seidel sweeps on (I − Pᵀ)x = 0,
+// normalize rescales x to unit mass (a zero vector is left as is).
+func normalize(x []float64) {
+	norm := 0.0
+	for _, v := range x {
+		norm += v
+	}
+	if norm > 0 {
+		inv := 1 / norm
+		for i := range x {
+			x[i] *= inv
+		}
+	}
+}
+
+// gaussSeidel performs steps relaxed Gauss–Seidel sweeps on (I − Pᵀ)x = 0,
 // x_i ← (1−ω)x_i + ω·Σ_{j≠i} P_ji x_j / (1 − P_ii), keeping x normalized.
 // Gauss–Seidel damps the within-aggregate (high-frequency) error far more
 // effectively than power iteration, which is what the aggregation cycle
 // relies on: the coarse correction fixes block masses, the smoother fixes
 // the shape inside blocks. pt is Pᵀ in CSR form.
-func (s *Solver) smooth(pt *spmat.CSR, x []float64, steps int) {
-	omega := s.cfg.Damping
+func gaussSeidel(pt *spmat.CSR, x []float64, steps int, omega float64) {
 	n := len(x)
 	for t := 0; t < steps; t++ {
 		for i := 0; i < n; i++ {
@@ -294,97 +382,90 @@ func (s *Solver) smooth(pt *spmat.CSR, x []float64, steps int) {
 			gs := sum / (1 - diag)
 			x[i] = (1-omega)*x[i] + omega*gs
 		}
-		norm := 0.0
-		for _, v := range x {
-			norm += v
-		}
-		if norm > 0 {
-			inv := 1 / norm
-			for i := range x {
-				x[i] *= inv
-			}
-		}
+		normalize(x)
 	}
 }
 
-// coarsestSolve solves the stationary distribution of a small chain
+// coarsestSolve solves the stationary distribution of the coarsest chain
 // exactly with GTH (through the reusable dense workspace), falling back to
 // Gauss–Seidel sweeps when the weighted coarse chain is numerically
 // reducible. The result is written into x.
-func (s *Solver) coarsestSolve(lv *mgLevel, x []float64) []float64 {
+func (s *Solver) coarsestSolve(x []float64) []float64 {
+	lv := s.coarsest
 	pi, err := s.gth.StationaryCSR(lv.p)
 	if err == nil {
 		copy(x, pi)
 		return x
 	}
-	s.smooth(lv.pt, x, s.cfg.CoarsestMaxIter)
+	gaussSeidel(lv.pt, x, s.cfg.CoarsestMaxIter, s.cfg.Damping)
 	return x
 }
 
 // cycle runs one multilevel cycle at the given level and returns the
 // improved iterate. All buffers — coarse matrices, transposes, iterate
 // vectors — live in the per-level workspaces; a cycle allocates nothing.
-func (s *Solver) cycle(level int, x []float64) ([]float64, error) {
-	lv := s.levels[level]
-	obs.LevelEvent(s.cfg.Trace, "multigrid", s.curCycle, level, dimOf(lv.p))
-	s.levelVisits[level]++
-	if level == len(s.parts) {
+func (s *Solver) cycle(k int, x []float64) ([]float64, error) {
+	obs.LevelEvent(s.cfg.Trace, "multigrid", s.curCycle, k, s.sizes[k])
+	s.levelVisits[k]++
+	if k == len(s.levels)-1 {
 		start := time.Now()
-		x = s.coarsestSolve(lv, x)
-		s.levelWorkNS[level] += time.Since(start).Nanoseconds()
+		x = s.coarsestSolve(x)
+		s.levelWorkNS[k] += time.Since(start).Nanoseconds()
 		return x, nil
 	}
+	lv := s.levels[k]
 	start := time.Now()
-	s.smooth(lv.pt, x, s.cfg.PreSmooth)
-	s.levelWorkNS[level] += time.Since(start).Nanoseconds()
+	lv.smooth(x, s.cfg.PreSmooth)
+	s.levelWorkNS[k] += time.Since(start).Nanoseconds()
 
-	if err := lv.plan.Update(x); err != nil {
-		return nil, fmt.Errorf("multigrid: level %d: %w", level, err)
+	xc, err := lv.restrict(x)
+	if err != nil {
+		return nil, fmt.Errorf("multigrid: level %d: %w", k, err)
 	}
-	next := s.levels[level+1]
-	next.p.RefreshTranspose(next.pt, next.perm)
-	part := s.parts[level]
-	xc := part.Restrict(lv.xc, x)
 	visits := 1
 	if s.cfg.Cycle == WCycle {
 		visits = 2
 	}
-	var err error
 	for v := 0; v < visits; v++ {
-		xc, err = s.cycle(level+1, xc)
+		xc, err = s.cycle(k+1, xc)
 		if err != nil {
 			return nil, err
 		}
 	}
-	x = part.Prolong(x, xc, lv.plan.Weights())
+	x = lv.prolong(x, xc)
 	start = time.Now()
-	s.smooth(lv.pt, x, s.cfg.PostSmooth)
-	s.levelWorkNS[level] += time.Since(start).Nanoseconds()
+	lv.smooth(x, s.cfg.PostSmooth)
+	s.levelWorkNS[k] += time.Since(start).Nanoseconds()
 	return x, nil
 }
 
 // levelStats snapshots the per-level attribution accumulated since the
 // last reset, finest first.
 func (s *Solver) levelStats() []LevelStat {
-	sizes := s.LevelSizes()
 	stats := make([]LevelStat, len(s.levels))
 	for k := range s.levels {
-		stats[k] = LevelStat{Level: k, Size: sizes[k], Visits: s.levelVisits[k], SmoothNS: s.levelWorkNS[k]}
+		stats[k] = LevelStat{Level: k, Size: s.sizes[k], Visits: s.levelVisits[k], SmoothNS: s.levelWorkNS[k]}
 	}
 	return stats
 }
 
 // workspaceBytes estimates the hierarchy's heap footprint beyond the
-// caller's finest matrix: coarse matrices, transposes, and iterate
-// buffers.
+// caller's finest operator: coarse matrices, transposes, iterate buffers
+// and, on an implicit level, its vectors and shuffle scratch.
 func (s *Solver) workspaceBytes() int64 {
 	var b int64
 	for k, lv := range s.levels {
-		if k > 0 {
-			b += lv.p.MemoryBytes()
+		switch lv := lv.(type) {
+		case *csrLevel:
+			if k > 0 {
+				b += lv.p.MemoryBytes()
+			}
+			b += lv.pt.MemoryBytes()
+			b += int64(len(lv.perm))*8 + int64(len(lv.xc))*8
+		case *kronLevel:
+			b += int64(len(lv.diag)+len(lv.y)+len(lv.xcOld)+len(lv.xc)) * 8
+			b += 2 * int64(len(lv.y)) * 8 // shuffle ping-pong scratch
 		}
-		b += lv.pt.MemoryBytes()
-		b += int64(len(lv.perm))*8 + int64(len(lv.xc))*8
 	}
 	return b
 }
@@ -392,7 +473,7 @@ func (s *Solver) workspaceBytes() int64 {
 // Solve runs multilevel cycles from x0 (uniform when nil) until the
 // residual criterion is met or MaxCycles is exhausted.
 func (s *Solver) Solve(x0 []float64) (Result, error) {
-	n := dimOf(s.p)
+	n := s.sizes[0]
 	x := make([]float64, n)
 	if x0 == nil {
 		for i := range x {
@@ -465,10 +546,7 @@ func (s *Solver) Solve(x0 []float64) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		// Gather over the level-0 transpose: in the default mode that is the
-		// matrix's shared cache (same object VecMul would use), in
-		// refreshable mode the solver-owned, value-current copy.
-		s.pool.VecMulT(s.p, s.levels[0].pt, y, x)
+		s.levels[0].residual(y, x)
 		r := 0.0
 		for i := range x {
 			r += math.Abs(y[i] - x[i])
@@ -493,19 +571,19 @@ func (s *Solver) Solve(x0 []float64) (Result, error) {
 // spmat.SamePattern before calling; this only validates dimensions). The
 // level-0 transpose is refreshed through its permutation; coarse levels
 // need nothing — their values are recomputed from the fine iterate every
-// cycle anyway. Requires Config.Refreshable.
+// cycle anyway. Requires Config.Refreshable and an explicit finest level.
 func (s *Solver) RefreshFine(src *spmat.CSR) error {
-	if !s.cfg.Refreshable {
+	lv, ok := s.levels[0].(*csrLevel)
+	if !s.cfg.Refreshable || !ok {
 		return errors.New("multigrid: RefreshFine on a non-refreshable solver")
 	}
-	dst := s.p.RawValues()
+	dst := lv.p.RawValues()
 	vals := src.RawValues()
 	if len(vals) != len(dst) {
 		return fmt.Errorf("multigrid: RefreshFine value count %d, want %d", len(vals), len(dst))
 	}
 	copy(dst, vals)
-	lv := s.levels[0]
-	s.p.RefreshTranspose(lv.pt, lv.perm)
+	lv.p.RefreshTranspose(lv.pt, lv.perm)
 	return nil
 }
 
@@ -529,17 +607,18 @@ func (s *Solver) SetSolveContext(ctx context.Context) {
 // transpose) — the sweep engine's seed selection: score the previous
 // point's solution, an extrapolation, and the uniform vector together,
 // then warm-start from the best. Candidates must be normalized
-// distributions of the fine dimension.
+// distributions of the fine dimension. Requires an explicit finest level
+// (New).
 func (s *Solver) Residuals(xs [][]float64) []float64 {
 	if len(xs) == 0 {
 		return nil
 	}
-	n := dimOf(s.p)
+	n := s.sizes[0]
 	for len(s.resBufs) < len(xs) {
 		s.resBufs = append(s.resBufs, make([]float64, n))
 	}
 	ys := s.resBufs[:len(xs)]
-	s.pool.MulVecs(s.levels[0].pt, ys, xs)
+	s.pool.MulVecs(s.levels[0].(*csrLevel).pt, ys, xs)
 	out := make([]float64, len(xs))
 	for b := range xs {
 		r := 0.0

@@ -75,7 +75,8 @@ func TestSolverSharedPoolSurvives(t *testing.T) {
 
 // After the first cycle warms the hierarchy, further cycles must not
 // allocate: the structural plans, transposes and coarse iterates are all
-// preallocated by New.
+// preallocated at construction, for the explicit and the implicit
+// Kronecker finest level alike.
 func TestCycleAllocsDoNotScaleWithCycles(t *testing.T) {
 	n := 64
 	p := randomWalkChain(n, 0.26, 0.25)
@@ -83,21 +84,32 @@ func TestCycleAllocsDoNotScaleWithCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(cycles int) float64 {
-		return testing.AllocsPerRun(10, func() {
-			s, err := New(p, parts, Config{Tol: 1e-300, MaxCycles: cycles, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Solve(nil); err != nil {
-				t.Fatal(err)
-			}
-		})
+	d := kronTestDescriptor(t, 27, 16)
+	kparts, err := BuildPairHierarchy(4, d.Dim()/16, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	short := measure(2)
-	long := measure(20)
-	// Setup dominates; the 18 extra cycles may not add allocations.
-	if long > short {
-		t.Errorf("allocs grew with cycle count: %v (2 cycles) -> %v (20 cycles)", short, long)
+	builders := map[string]func(cfg Config) (*Solver, error){
+		"explicit": func(cfg Config) (*Solver, error) { return New(p, parts, cfg) },
+		"kron":     func(cfg Config) (*Solver, error) { return NewKron(d, 2, kparts, cfg) },
+	}
+	for name, build := range builders {
+		measure := func(cycles int) float64 {
+			return testing.AllocsPerRun(10, func() {
+				s, err := build(Config{Tol: 1e-300, MaxCycles: cycles, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Solve(nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short := measure(2)
+		long := measure(20)
+		// Setup dominates; the 18 extra cycles may not add allocations.
+		if long > short {
+			t.Errorf("%s: allocs grew with cycle count: %v (2 cycles) -> %v (20 cycles)", name, short, long)
+		}
 	}
 }

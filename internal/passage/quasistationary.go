@@ -31,7 +31,10 @@ type QuasiStationaryResult struct {
 	// Lambda is the Perron eigenvalue of Q: the per-step survival
 	// probability of the conditioned process.
 	Lambda float64
-	// HazardPerStep is 1 − Lambda, the asymptotic slip rate.
+	// HazardPerStep is the asymptotic slip rate 1 − Lambda, evaluated
+	// subtraction-free as escaped/(escaped + Lambda) from the mass the last
+	// sweep sent into the target set, so hazards far below the float64
+	// resolution of Lambda keep their digits.
 	HazardPerStep float64
 	// Iterations is the number of power steps performed.
 	Iterations int
@@ -116,6 +119,7 @@ func QuasiStationaryOpt(p *spmat.CSR, target []bool, opt QSOptions) (QuasiStatio
 	}
 	y := make([]float64, n)
 	res := QuasiStationaryResult{}
+	escaped := 0.0 // mass the last sweep sent into the target set
 	// Cost accounting: one meter lookup per solve; the deferred
 	// attribution also covers the cancellation return.
 	meter := cost.FromContext(opt.Ctx)
@@ -131,16 +135,18 @@ func QuasiStationaryOpt(p *spmat.CSR, target []bool, opt QSOptions) (QuasiStatio
 		if opt.Ctx != nil {
 			if err := opt.Ctx.Err(); err != nil {
 				res.Nu = x
-				res.HazardPerStep = 1 - res.Lambda
+				res.HazardPerStep = hazard(escaped, res.Lambda)
 				return res, fmt.Errorf("passage: quasi-stationary solve stopped after %d sweeps: %w",
 					res.Iterations, err)
 			}
 		}
-		// y = x·Q: propagate through P, then zero the target states.
+		// y = x·Q: propagate through P, then zero the target states,
+		// tallying the mass they received.
 		pool.VecMul(p, y, x)
-		lambda := 0.0
+		lambda, esc := 0.0, 0.0
 		for i := range y {
 			if target[i] {
+				esc += y[i]
 				y[i] = 0
 			} else {
 				lambda += y[i]
@@ -158,6 +164,7 @@ func QuasiStationaryOpt(p *spmat.CSR, target []bool, opt QSOptions) (QuasiStatio
 		x, y = y, x
 		res.Iterations = it
 		res.Lambda = lambda
+		escaped = esc
 		if resid <= tol {
 			res.Converged = true
 			meter.AddResidual(resid)
@@ -168,6 +175,18 @@ func QuasiStationaryOpt(p *spmat.CSR, target []bool, opt QSOptions) (QuasiStatio
 		}
 	}
 	res.Nu = x
-	res.HazardPerStep = 1 - res.Lambda
+	res.HazardPerStep = hazard(escaped, res.Lambda)
 	return res, nil
+}
+
+// hazard is the per-step escape probability of the normalized survivor
+// iterate: of the mass x·P carries, escaped entered the target and lambda
+// stayed out. Their ratio equals 1 − λ for a stochastic P but never
+// subtracts, so it keeps full relative precision however small. Before
+// the first sweep (both zero) it reports 1 − λ = 1.
+func hazard(escaped, lambda float64) float64 {
+	if escaped+lambda == 0 {
+		return 1
+	}
+	return escaped / (escaped + lambda)
 }

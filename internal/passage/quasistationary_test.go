@@ -11,32 +11,38 @@ import (
 func TestQuasiStationaryTwoStatePlusTrap(t *testing.T) {
 	// Survivor states {0,1} with uniform leak eps to trap state 2:
 	// Q = (1−eps)·[[1−a,a],[b,1−b]], so λ = 1−eps and ν is the two-state
-	// stationary vector.
-	a, b, eps := 0.3, 0.2, 0.01
-	tr := spmat.NewTriplet(3, 3)
-	tr.Add(0, 0, (1-eps)*(1-a))
-	tr.Add(0, 1, (1-eps)*a)
-	tr.Add(0, 2, eps)
-	tr.Add(1, 0, (1-eps)*b)
-	tr.Add(1, 1, (1-eps)*(1-b))
-	tr.Add(1, 2, eps)
-	tr.Add(2, 2, 1)
-	p := tr.ToCSR()
-	target := []bool{false, false, true}
-	res, err := QuasiStationary(p, target, 1e-13, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("not converged: %+v", res)
-	}
-	if math.Abs(res.Lambda-(1-eps)) > 1e-10 {
-		t.Fatalf("lambda = %g, want %g", res.Lambda, 1-eps)
-	}
-	want := []float64{b / (a + b), a / (a + b), 0}
-	for i := range want {
-		if math.Abs(res.Nu[i]-want[i]) > 1e-9 {
-			t.Fatalf("nu[%d] = %g, want %g", i, res.Nu[i], want[i])
+	// stationary vector. The 1e-20 leak lies far below the resolution of
+	// λ, so only a subtraction-free hazard recovers it.
+	a, b := 0.3, 0.2
+	for _, eps := range []float64{0.01, 1e-20} {
+		tr := spmat.NewTriplet(3, 3)
+		tr.Add(0, 0, (1-eps)*(1-a))
+		tr.Add(0, 1, (1-eps)*a)
+		tr.Add(0, 2, eps)
+		tr.Add(1, 0, (1-eps)*b)
+		tr.Add(1, 1, (1-eps)*(1-b))
+		tr.Add(1, 2, eps)
+		tr.Add(2, 2, 1)
+		p := tr.ToCSR()
+		target := []bool{false, false, true}
+		res, err := QuasiStationary(p, target, 1e-13, 100000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("eps %g: not converged: %+v", eps, res)
+		}
+		if math.Abs(res.Lambda-(1-eps)) > 1e-10 {
+			t.Fatalf("eps %g: lambda = %g, want %g", eps, res.Lambda, 1-eps)
+		}
+		if rel := math.Abs(res.HazardPerStep-eps) / eps; rel > 1e-12 {
+			t.Fatalf("eps %g: hazard = %g (relative error %g)", eps, res.HazardPerStep, rel)
+		}
+		want := []float64{b / (a + b), a / (a + b), 0}
+		for i := range want {
+			if math.Abs(res.Nu[i]-want[i]) > 1e-9 {
+				t.Fatalf("eps %g: nu[%d] = %g, want %g", eps, i, res.Nu[i], want[i])
+			}
 		}
 	}
 }

@@ -135,21 +135,32 @@ func TestJobsCancelAll(t *testing.T) {
 
 func TestJobsEvictOldFinished(t *testing.T) {
 	jobs := NewJobs(4, 16, nil)
-	var first string
-	for i := 0; i < maxFinishedJobs+8; i++ {
+	noop := func(context.Context) ([]byte, bool, error) { return nil, false, nil }
+	first, err := jobs.Submit("", noop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eviction follows finish order, and four workers may finish jobs out
+	// of submission order: let the first job retire before the rest are
+	// submitted, so it is the oldest finished record.
+	for {
+		jobs.mu.Lock()
+		retired := len(jobs.finished) > 0
+		jobs.mu.Unlock()
+		if retired {
+			break
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	for i := 1; i < maxFinishedJobs+8; i++ {
 		for {
-			id, err := jobs.Submit("", func(context.Context) ([]byte, bool, error) {
-				return nil, false, nil
-			})
+			_, err := jobs.Submit("", noop)
 			if errors.Is(err, ErrQueueFull) {
 				time.Sleep(50 * time.Microsecond)
 				continue
 			}
 			if err != nil {
 				t.Fatal(err)
-			}
-			if first == "" {
-				first = id
 			}
 			break
 		}
