@@ -82,7 +82,9 @@ func BenchmarkAblationSmoothing(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHierarchyDepth varies where the phase coarsening stops.
+// BenchmarkAblationHierarchyDepth varies where the phase coarsening stops,
+// reporting the hierarchy depth and the solve's work in fine-level sweeps
+// next to its cycles.
 func BenchmarkAblationHierarchyDepth(b *testing.B) {
 	m := scaledModel(b, 2)
 	for _, minSeg := range []int{2, 4, 8} {
@@ -97,6 +99,8 @@ func BenchmarkAblationHierarchyDepth(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(a.Multigrid.Cycles), "cycles")
+				b.ReportMetric(float64(len(a.Multigrid.LevelSizes)), "levels")
+				b.ReportMetric(experiments.MultigridSweepEquivalents(a.Multigrid, 4), "sweep-equiv")
 			}
 		})
 	}

@@ -59,47 +59,61 @@ type Analysis struct {
 	SolveTime time.Duration
 }
 
-// Hierarchy builds the multigrid partition chain for this model. First,
-// pairs of consecutive phase grid points are lumped within every
-// (data, counter) segment — the paper's coarsening strategy — level after
-// level, until segments reach minSegLen points. Then, to keep the coarsest
-// problem small even for long loop-filter counters, coarsening continues
-// across the counter dimension (adjacent counter states merge
-// elementwise) until at most three counter states remain per data state.
+// Hierarchy builds the multigrid partition chain for this model: the
+// paper's phase pairing down to minSegLen points per segment, then one
+// counter level (see BuildHierarchy).
 func (m *Model) Hierarchy(minSegLen int) ([]*lump.Partition, error) {
-	parts, err := multigrid.BuildPairHierarchy(m.M, m.D*m.C, minSegLen)
+	return BuildHierarchy(m.M, m.C, m.D, minSegLen)
+}
+
+// BuildHierarchy builds the multigrid partition chain for a state space
+// laid out as groups × counters × phase points, phase fastest (groups are
+// the data states of a Model, regime × data states of a regime model).
+// First, pairs of consecutive phase grid points are lumped within every
+// (group, counter) segment — the paper's coarsening strategy — level
+// after level, until segments reach minSegLen points. Then, to keep the
+// coarsest problem small even for long loop-filter counters, one more
+// level merges the counter dimension (see counterParts).
+func BuildHierarchy(phase, counters, groups, minSegLen int) ([]*lump.Partition, error) {
+	parts, err := multigrid.BuildPairHierarchy(phase, groups*counters, minSegLen)
 	if err != nil {
 		return nil, err
 	}
-	segLen := m.M
-	for segLen > minSegLen {
-		segLen = (segLen + 1) / 2
+	segLen := phase
+	if len(parts) > 0 {
+		segLen = parts[len(parts)-1].NumBlocks() / (groups * counters)
 	}
-	cp, err := m.counterParts(segLen)
+	cp, err := counterParts(segLen, counters, groups)
 	if err != nil {
 		return nil, err
 	}
 	return append(parts, cp...), nil
 }
 
-// counterParts continues the coarsening across the counter dimension —
-// adjacent counter states merge elementwise — once the phase dimension
-// has been reduced to segLen points per segment, until at most three
-// counter states remain per data state. Hierarchy uses it below the
-// phase-pair levels; the matrix-free solve uses it directly when the phase
-// grid is too short to pair further.
-func (m *Model) counterParts(segLen int) ([]*lump.Partition, error) {
-	var parts []*lump.Partition
-	counters := m.C
-	for counters > 3 {
-		part, err := lump.PairSegmentsElementwise(segLen, counters, m.D)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, part)
-		counters = (counters + 1) / 2
+// counterParts coarsens across the counter dimension once the phase
+// dimension has been reduced to segLen points per segment: runs of 2^K
+// adjacent counter states merge elementwise, where K is the number of
+// ceil-halvings that leave at most three counter states, so counter
+// segment s joins coarse segment s>>K. That is the composition of K
+// successive counter pairings, taken in one level: a W-cycle visits level
+// k 2^k times per cycle, so a level that only halved the problem would
+// cost as much per cycle as the finest one. It returns no partition when
+// the counter already has at most three states. Hierarchy uses it below
+// the phase-pair levels; the matrix-free solve uses it directly when the
+// phase grid is too short to pair further.
+func counterParts(segLen, counters, groups int) ([]*lump.Partition, error) {
+	width := 1
+	for c := counters; c > 3; c = (c + 1) / 2 {
+		width *= 2
 	}
-	return parts, nil
+	if width == 1 {
+		return nil, nil
+	}
+	part, err := lump.MergeSegmentsElementwise(segLen, counters, groups, width)
+	if err != nil {
+		return nil, err
+	}
+	return []*lump.Partition{part}, nil
 }
 
 // Solve computes the stationary distribution with the multilevel solver
@@ -143,9 +157,10 @@ func (m *Model) analyze(solver *multigrid.Solver) (*Analysis, error) {
 // demand for explicit models) stays implicit at the finest level of a
 // multigrid.NewKron solver, whose first restriction folds up to two
 // phase pairings into one aggregated explicit coarse matrix; the rest of
-// the phase-pair coarsening and the counter lumping continue below it as
-// ordinary explicit levels. Memory stays at a few state-sized
-// vectors plus the coarse hierarchy; the product matrix never exists.
+// the phase-pair coarsening and the single counter level continue below
+// it as ordinary explicit levels, sliced from the same Hierarchy chain.
+// Memory stays at a few state-sized vectors plus the coarse hierarchy;
+// the product matrix never exists.
 func (m *Model) SolveKron(opt SolveOptions) (*Analysis, error) {
 	opt = opt.withDefaults()
 	d := m.Desc
@@ -181,7 +196,7 @@ func (m *Model) SolveKron(opt SolveOptions) (*Analysis, error) {
 			return nil, errors.New("core: phase grid too small for the matrix-free solver")
 		}
 		agg = 1
-		parts, err = m.counterParts((m.M + 1) / 2)
+		parts, err = counterParts((m.M+1)/2, m.C, m.D)
 	}
 	if err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"cdrstoch/internal/core"
@@ -264,14 +265,28 @@ func CompareSolvers(m *core.Model, tol float64, maxSweeps int, trace obs.Tracer)
 		if err != nil {
 			return nil, err
 		}
-		levels := len(res.LevelSizes)
-		perCycle := 4 * levels // V-cycle approximation
-		if mg.cfg.Cycle == multigrid.WCycle {
-			perCycle = 8 * levels
-		}
-		add(mg.name, res.Cycles, res.Cycles*perCycle, res.Residual, res.Converged, time.Since(start), col, "multigrid")
+		work := MultigridSweepEquivalents(res, mg.cfg.PreSmooth+mg.cfg.PostSmooth)
+		add(mg.name, res.Cycles, int(math.Round(work)), res.Residual, res.Converged, time.Since(start), col, "multigrid")
 	}
 	return rows, nil
+}
+
+// MultigridSweepEquivalents converts a multigrid solve's work into
+// fine-level sweeps from its per-level record: every visit to a smoothed
+// level k runs sweeps relaxations (pre- plus post-smoothing) over size_k
+// states, so the solve costs Σ_k visits_k·sweeps·size_k/size_0 fine
+// sweeps. The coarsest level's direct solve is not a sweep and is left
+// out.
+func MultigridSweepEquivalents(res multigrid.Result, sweeps int) float64 {
+	stats := res.LevelStats
+	if len(stats) < 2 {
+		return 0
+	}
+	work := 0.0
+	for _, st := range stats[:len(stats)-1] {
+		work += float64(st.Visits*sweeps) * float64(st.Size) / float64(stats[0].Size)
+	}
+	return work
 }
 
 // WriteSolverTable renders the comparison rows as an aligned text table.

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
 	"cdrstoch/internal/core"
+	"cdrstoch/internal/multigrid"
 )
 
 func TestBaseSpecValid(t *testing.T) {
@@ -200,5 +202,60 @@ func TestCompareSolvers(t *testing.T) {
 	if r2["mg-wcycle"].Iterations > 2*r1["mg-wcycle"].Iterations {
 		t.Errorf("multigrid cycles not level: %d -> %d",
 			r1["mg-wcycle"].Iterations, r2["mg-wcycle"].Iterations)
+	}
+}
+
+// TestFig5CycleBudget pins the default W(2,2) solve's cycle counts on the
+// Figure 5 panels the service benchmark exercises, and their BERs to 1e-9
+// relative of the values the one-halving-per-level counter coarsening
+// produced, so a hierarchy change can neither cost cycles nor move an
+// answer.
+func TestFig5CycleBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		counterLen int
+		kron       bool
+		maxCycles  int
+		ber        float64
+	}{
+		{"counter-8", 8, false, 24, 3.0063513926437764e-07},
+		{"counter-32", 32, false, 42, 4.0165521453834799e-06},
+		{"kron counter-8", 8, true, 77, 3.006351392643473e-07},
+	} {
+		m, err := core.Build(Fig5Spec(tc.counterLen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		solve := m.Solve
+		if tc.kron {
+			solve = m.SolveKron
+		}
+		a, err := solve(core.SolveOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if a.Multigrid.Cycles > tc.maxCycles {
+			t.Errorf("%s: %d cycles, budget %d", tc.name, a.Multigrid.Cycles, tc.maxCycles)
+		}
+		if rel := math.Abs(a.BER-tc.ber) / tc.ber; rel > 1e-9 {
+			t.Errorf("%s: BER %.17g, want %.17g (relative change %.2e)", tc.name, a.BER, tc.ber, rel)
+		}
+	}
+}
+
+// TestMultigridSweepEquivalents: the work figure sums visits × sweeps ×
+// relative size over the smoothed levels and leaves the coarsest out.
+func TestMultigridSweepEquivalents(t *testing.T) {
+	res := multigrid.Result{LevelStats: []multigrid.LevelStat{
+		{Level: 0, Size: 100, Visits: 10},
+		{Level: 1, Size: 50, Visits: 20},
+		{Level: 2, Size: 10, Visits: 40},
+	}}
+	// 10·4·1 + 20·4·0.5 = 80; the 10-state coarsest level adds nothing.
+	if got := MultigridSweepEquivalents(res, 4); got != 80 {
+		t.Errorf("sweep equivalents = %g, want 80", got)
+	}
+	if got := MultigridSweepEquivalents(multigrid.Result{}, 4); got != 0 {
+		t.Errorf("empty result = %g, want 0", got)
 	}
 }

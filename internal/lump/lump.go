@@ -72,23 +72,24 @@ func PairsWithinSegments(segLen, numSegs int) (*Partition, error) {
 	return NewPartition(blockOf)
 }
 
-// PairSegmentsElementwise partitions a state space laid out as
-// groups × segsPerGroup × segLen (innermost fastest) by merging adjacent
-// *segments* within each group elementwise: segment pair (2k, 2k+1) maps
-// entry m onto coarse entry m of coarse segment k. The multigrid hierarchy
-// uses it to keep coarsening across the loop-filter (counter) dimension
-// once the phase grid within segments has been exhausted.
-func PairSegmentsElementwise(segLen, segsPerGroup, groups int) (*Partition, error) {
-	if segLen <= 0 || segsPerGroup <= 0 || groups <= 0 {
-		return nil, fmt.Errorf("lump: bad layout %dx%dx%d", groups, segsPerGroup, segLen)
+// MergeSegmentsElementwise partitions a state space laid out as
+// groups × segsPerGroup × segLen (innermost fastest) by merging runs of
+// width adjacent *segments* within each group elementwise: segment s maps
+// entry m onto coarse entry m of coarse segment s/width. With width 2^K
+// it is the composition of K successive pairings, in one partition. The
+// multigrid hierarchy uses it to coarsen across the loop-filter (counter)
+// dimension once the phase grid within segments has been exhausted.
+func MergeSegmentsElementwise(segLen, segsPerGroup, groups, width int) (*Partition, error) {
+	if segLen <= 0 || segsPerGroup <= 0 || groups <= 0 || width <= 0 {
+		return nil, fmt.Errorf("lump: bad layout %dx%dx%d merged by %d", groups, segsPerGroup, segLen, width)
 	}
-	coarseSegs := (segsPerGroup + 1) / 2
+	coarseSegs := (segsPerGroup + width - 1) / width
 	blockOf := make([]int, groups*segsPerGroup*segLen)
 	for g := 0; g < groups; g++ {
 		for s := 0; s < segsPerGroup; s++ {
 			for m := 0; m < segLen; m++ {
 				fine := (g*segsPerGroup+s)*segLen + m
-				blockOf[fine] = (g*coarseSegs+s/2)*segLen + m
+				blockOf[fine] = (g*coarseSegs+s/width)*segLen + m
 			}
 		}
 	}

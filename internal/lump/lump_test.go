@@ -92,9 +92,9 @@ func TestPairsWithinSegments(t *testing.T) {
 	}
 }
 
-func TestPairSegmentsElementwise(t *testing.T) {
+func TestMergeSegmentsElementwise(t *testing.T) {
 	// 2 groups × 3 segments × 2 entries: segments (0,1) merge, 2 stays.
-	p, err := PairSegmentsElementwise(2, 3, 2)
+	p, err := MergeSegmentsElementwise(2, 3, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +110,37 @@ func TestPairSegmentsElementwise(t *testing.T) {
 			t.Fatalf("BlockOf(%d) = %d, want %d", i, p.BlockOf(i), b)
 		}
 	}
-	if _, err := PairSegmentsElementwise(0, 1, 1); err == nil {
-		t.Error("bad layout accepted")
+	for _, bad := range [][4]int{{0, 1, 1, 2}, {1, 1, 1, 0}} {
+		if _, err := MergeSegmentsElementwise(bad[0], bad[1], bad[2], bad[3]); err == nil {
+			t.Errorf("bad layout %v accepted", bad)
+		}
+	}
+}
+
+// TestMergeSegmentsComposesPairings: one width-4 merge of 7 segments is
+// the composition of two width-2 pairings (7 -> 4 -> 2 segments), block
+// for block.
+func TestMergeSegmentsComposesPairings(t *testing.T) {
+	const segLen, segs, groups = 3, 7, 2
+	wide, err := MergeSegmentsElementwise(segLen, segs, groups, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := MergeSegmentsElementwise(segLen, segs, groups, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := MergeSegmentsElementwise(segLen, (segs+1)/2, groups, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.NumBlocks() != second.NumBlocks() || wide.NumBlocks() != 2*segLen*groups {
+		t.Fatalf("blocks: wide %d, composed %d", wide.NumBlocks(), second.NumBlocks())
+	}
+	for i := 0; i < wide.NumStates(); i++ {
+		if got, want := wide.BlockOf(i), second.BlockOf(first.BlockOf(i)); got != want {
+			t.Fatalf("BlockOf(%d) = %d, composed pairings give %d", i, got, want)
+		}
 	}
 }
 

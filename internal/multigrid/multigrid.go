@@ -15,7 +15,8 @@
 // partitions; for the CDR model, each partition lumps pairs of consecutive
 // discretized phase-error values within every (data state, filter state)
 // segment, so coarse problems "resemble the original problem but with
-// coarser phase error discretization".
+// coarser phase error discretization", and one last partition merges the
+// filter (counter) states (core.BuildHierarchy).
 package multigrid
 
 import (

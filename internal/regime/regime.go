@@ -293,27 +293,10 @@ func (m *Model) FrameErrorRate(pi []float64, frameBits int) (float64, error) {
 	return ch.FrameErrorRate(pi, m.ErrorProbVector(), frameBits)
 }
 
-// Hierarchy builds the phase-pair multigrid coarsening (segments =
-// R·D·C), continuing across the counter dimension.
+// Hierarchy builds the multigrid partition chain with core.BuildHierarchy,
+// the regime and data states forming the groups (segments = R·D·C).
 func (m *Model) Hierarchy(minSegLen int) ([]*lump.Partition, error) {
-	parts, err := multigrid.BuildPairHierarchy(m.M, m.R*m.D*m.C, minSegLen)
-	if err != nil {
-		return nil, err
-	}
-	segLen := m.M
-	for segLen > minSegLen {
-		segLen = (segLen + 1) / 2
-	}
-	counters := m.C
-	for counters > 3 {
-		part, err := lump.PairSegmentsElementwise(segLen, counters, m.R*m.D)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, part)
-		counters = (counters + 1) / 2
-	}
-	return parts, nil
+	return core.BuildHierarchy(m.M, m.C, m.R*m.D, minSegLen)
 }
 
 // Solve computes the stationary distribution with the multilevel solver.

@@ -23,9 +23,9 @@
 //     starts from the best.
 //
 //  3. Cycle-kind continuation. W-cycles visit level k 2^k times, so every
-//     level costs about as much as the finest per cycle — the right
-//     robustness for a cold start, ~len(levels)× overkill within a few
-//     grid steps of the answer. Warm-started points therefore run cheap
+//     phase-pair level, which halves its parent, costs about as much as
+//     the finest per cycle — the right robustness for a cold start,
+//     ~len(levels)× overkill within a few grid steps of the answer. Warm-started points therefore run cheap
 //     V-cycles; if one fails to converge the Session transparently re-runs
 //     the point cold with the configured W-cycles, so accuracy is never
 //     traded: every returned point satisfies the same residual tolerance.
