@@ -159,8 +159,10 @@ func (m *Model) analyze(solver *multigrid.Solver) (*Analysis, error) {
 // phase pairings into one aggregated explicit coarse matrix; the rest of
 // the phase-pair coarsening and the single counter level continue below
 // it as ordinary explicit levels, sliced from the same Hierarchy chain.
-// Memory stays at a few state-sized vectors plus the coarse hierarchy;
-// the product matrix never exists.
+// The implicit level smooths with the same relaxed Gauss–Seidel as the
+// explicit solve, swept segment by segment through the descriptor's
+// phase factors. Memory stays at a few state-sized vectors plus the
+// coarse hierarchy; the product matrix never exists.
 func (m *Model) SolveKron(opt SolveOptions) (*Analysis, error) {
 	opt = opt.withDefaults()
 	d := m.Desc

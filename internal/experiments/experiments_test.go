@@ -220,7 +220,8 @@ func TestFig5CycleBudget(t *testing.T) {
 	}{
 		{"counter-8", 8, false, 24, 3.0063513926437764e-07},
 		{"counter-32", 32, false, 42, 4.0165521453834799e-06},
-		{"kron counter-8", 8, true, 77, 3.006351392643473e-07},
+		{"kron counter-8", 8, true, 42, 3.006351392643473e-07},
+		{"kron counter-32", 32, true, 82, 4.0165521453834799e-06},
 	} {
 		m, err := core.Build(Fig5Spec(tc.counterLen))
 		if err != nil {

@@ -193,6 +193,23 @@ func (w *Workspace) ensure(n int) {
 // Distinct (l-range, r-range) slabs write disjoint regions of out, which
 // is what makes the parallel split race-free.
 func modeVecMulPart(out, x []float64, a *spmat.CSR, n, right, lo, hi, rlo, rhi int) {
+	if right == 1 {
+		// Innermost mode: each run has length one, so scatter scalars
+		// instead of slicing a one-element window per factor entry.
+		for l := lo; l < hi; l++ {
+			xs := x[l*n : (l+1)*n]
+			ys := out[l*n : (l+1)*n]
+			for i, xi := range xs {
+				cols, vals := a.Row(i)
+				for kk, j := range cols {
+					if v := vals[kk]; v != 0 {
+						ys[j] += v * xi
+					}
+				}
+			}
+		}
+		return
+	}
 	for l := lo; l < hi; l++ {
 		base := l * n * right
 		for i := 0; i < n; i++ {
@@ -220,6 +237,25 @@ func modeVecMulPart(out, x []float64, a *spmat.CSR, n, right, lo, hi, rlo, rhi i
 // modeMulVecPart is the matrix–vector twin: out[l, i, r] += Σ_j
 // a[i, j]·x[l, j, r], the mode-k product of y = P·x.
 func modeMulVecPart(out, x []float64, a *spmat.CSR, n, right, lo, hi, rlo, rhi int) {
+	if right == 1 {
+		// Innermost mode: gather each row into a scalar, adding in the
+		// same order as the strided loop below.
+		for l := lo; l < hi; l++ {
+			xs := x[l*n : (l+1)*n]
+			ys := out[l*n : (l+1)*n]
+			for i := range ys {
+				cols, vals := a.Row(i)
+				sum := ys[i]
+				for kk, j := range cols {
+					if v := vals[kk]; v != 0 {
+						sum += v * xs[j]
+					}
+				}
+				ys[i] = sum
+			}
+		}
+		return
+	}
 	for l := lo; l < hi; l++ {
 		base := l * n * right
 		for i := 0; i < n; i++ {
@@ -437,64 +473,24 @@ func (d *Descriptor) RowSums() []float64 {
 	return out
 }
 
-// RowIter enumerates single rows of the implicit matrix without
-// materializing it — the access pattern the multigrid restriction uses
-// to lump an implicit fine level into an explicit coarse matrix. Create
-// one per traversal; after the first row, Row performs no allocations
-// (the visit closure should likewise be hoisted outside the row loop).
-// A RowIter is not safe for concurrent use.
-type RowIter struct {
-	d      *Descriptor
-	digits []int
-}
-
-// NewRowIter returns a row enumerator for the descriptor.
-func (d *Descriptor) NewRowIter() *RowIter {
-	return &RowIter{d: d, digits: make([]int, len(d.sizes))}
-}
-
-// Row calls visit for every stored entry of row i, as (column, value)
-// pairs. Columns may repeat across terms (the implicit matrix entry is
-// the sum); callers accumulate.
-func (it *RowIter) Row(i int, visit func(col int, v float64)) {
-	d := it.d
-	if i < 0 || i >= d.dim {
-		panic("kron: row index out of range")
-	}
-	rem := i
-	for c := len(d.sizes) - 1; c >= 0; c-- {
-		it.digits[c] = rem % d.sizes[c]
-		rem /= d.sizes[c]
-	}
-	for ti := range d.terms {
-		t := &d.terms[ti]
-		if t.Coeff != 0 {
-			it.expand(t, 0, 0, t.Coeff, visit)
-		}
-	}
-}
-
-func (it *RowIter) expand(t *Term, c, col int, prod float64, visit func(col int, v float64)) {
-	if c == len(it.d.sizes) {
-		visit(col, prod)
-		return
-	}
-	cols, vals := t.Factors[c].Row(it.digits[c])
-	n := it.d.sizes[c]
-	for k, j := range cols {
-		if v := vals[k]; v != 0 {
-			it.expand(t, c+1, col*n+j, prod*v, visit)
-		}
-	}
-}
-
-// ToCSR materializes the descriptor as an explicit sparse matrix. Intended
-// for tests and small models; the memory cost is the full global nnz.
+// ToCSR materializes the descriptor as an explicit sparse matrix, block
+// by block through the segment view. Intended for tests and small
+// models; the memory cost is the full global nnz.
 func (d *Descriptor) ToCSR() *spmat.CSR {
 	tr := spmat.NewTriplet(d.dim, d.dim)
-	it := d.NewRowIter()
-	for i := 0; i < d.dim; i++ {
-		it.Row(i, func(j int, v float64) { tr.Add(i, j, v) })
+	v := d.SegmentView()
+	for s := 0; s < v.Segments; s++ {
+		for _, e := range v.From(s) {
+			f := v.Factors[e.Term]
+			for p := 0; p < v.Inner; p++ {
+				cols, vals := f.Row(p)
+				for k, q := range cols {
+					if vals[k] != 0 {
+						tr.Add(e.Src*v.Inner+p, e.Dst*v.Inner+q, e.Coeff*vals[k])
+					}
+				}
+			}
+		}
 	}
 	return tr.ToCSR()
 }

@@ -48,29 +48,6 @@ func TestShuffleProductsAllocFree(t *testing.T) {
 	}
 }
 
-// Row enumeration is allocation-free after the first row, which is what
-// keeps the multigrid coarse refresh cycle-allocation-free.
-func TestRowIterAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	d, err := NewDescriptor([]Term{
-		{Coeff: 1, Factors: []*spmat.CSR{randomStochasticCSR(4, rng), randomStochasticCSR(6, rng)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := d.NewRowIter()
-	sum := 0.0
-	visit := func(_ int, v float64) { sum += v }
-	it.Row(0, visit)
-	if allocs := testing.AllocsPerRun(20, func() {
-		for i := 0; i < d.Dim(); i++ {
-			it.Row(i, visit)
-		}
-	}); allocs != 0 {
-		t.Errorf("RowIter.Row: %v allocs per sweep", allocs)
-	}
-}
-
 // Parallel shuffle products must agree with the serial evaluation and be
 // race-free under concurrent use of one shared descriptor (run under
 // -race in ci).
@@ -128,9 +105,10 @@ func TestParallelShuffleMatchesSerial(t *testing.T) {
 	}
 }
 
-// Diag, RowSums and RowIter are the structural surface the operator
-// backend and the multigrid restriction rely on; all must agree with the
-// materialized matrix.
+// Diag, RowSums and the segment view are the structural surface the
+// operator backend and the multigrid level rely on; Diag and RowSums must
+// agree with the materialized matrix, and the materialization (built on
+// the segment view) with the Kronecker products formed term by term.
 func TestStructuralSurfaceMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 5; trial++ {
@@ -157,16 +135,23 @@ func TestStructuralSurfaceMatchesMaterialized(t *testing.T) {
 				t.Fatalf("trial %d: rowsum[%d] = %g, want %g", trial, i, sums[i], refSums[i])
 			}
 		}
-		it := d.NewRowIter()
-		row := make([]float64, d.Dim())
-		for i := 0; i < d.Dim(); i++ {
-			for j := range row {
-				row[j] = 0
+		// The segment view ToCSR materializes through must reproduce the
+		// Kronecker products formed term by term.
+		dim := d.Dim()
+		ref := make([]float64, dim*dim)
+		for _, tm := range terms {
+			k := Kron(tm.Factors[0], tm.Factors[1])
+			for i := 0; i < dim; i++ {
+				cols, vals := k.Row(i)
+				for kk, j := range cols {
+					ref[i*dim+j] += tm.Coeff * vals[kk]
+				}
 			}
-			it.Row(i, func(j int, v float64) { row[j] += v })
-			for j := range row {
-				if math.Abs(row[j]-m.At(i, j)) > 1e-12 {
-					t.Fatalf("trial %d: row %d col %d = %g, want %g", trial, i, j, row[j], m.At(i, j))
+		}
+		for i := 0; i < dim; i++ {
+			for j := 0; j < dim; j++ {
+				if math.Abs(ref[i*dim+j]-m.At(i, j)) > 1e-12 {
+					t.Fatalf("trial %d: (%d,%d) = %g, want %g", trial, i, j, m.At(i, j), ref[i*dim+j])
 				}
 			}
 		}

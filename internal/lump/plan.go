@@ -3,6 +3,7 @@ package lump
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"cdrstoch/internal/spmat"
 )
@@ -26,7 +27,7 @@ type Plan struct {
 	coarse *spmat.CSR
 	dest   []int     // coarse val index per fine stored entry, row-major
 	w      []float64 // disaggregation weights of the last Update
-	sums   []float64 // per-block mass scratch
+	sums   []float64 // per-block scratch: iterate mass, then coarse row sums
 	counts []int     // block sizes, for the vanished-mass uniform fallback
 }
 
@@ -109,23 +110,37 @@ func (pl *Plan) Update(x []float64) error {
 			pl.w[i] = 1 / float64(pl.counts[b])
 		}
 	}
+	// The scatter pass also checks the result: fine entries must not be
+	// negative, and coarse row I sums to Σ_{i∈I} w_i·rowsum_i, which sums
+	// collects (its block masses are spent once the weights are set), so
+	// the coarse rows are validated without a second pass.
+	const tol = 1e-8
 	cv := pl.coarse.RawValues()
 	clear(cv)
+	clear(pl.sums)
 	k := 0
 	for i := 0; i < n; i++ {
-		_, vals := pl.p.Row(i)
+		cols, vals := pl.p.Row(i)
 		wi := pl.w[i]
 		if wi == 0 {
 			k += len(vals)
 			continue
 		}
-		for _, v := range vals {
+		sum := 0.0
+		for kk, v := range vals {
+			if v < -tol {
+				return fmt.Errorf("lump: coarse TPM not stochastic: negative probability %g at fine (%d,%d)", v, i, cols[kk])
+			}
+			sum += v
 			cv[pl.dest[k]] += wi * v
 			k++
 		}
+		pl.sums[bo[i]] += wi * sum
 	}
-	if err := pl.coarse.CheckStochastic(1e-8); err != nil {
-		return fmt.Errorf("lump: coarse TPM not stochastic: %w", err)
+	for b, sum := range pl.sums {
+		if math.Abs(sum-1) > tol {
+			return fmt.Errorf("lump: coarse TPM not stochastic: row %d sums to %g, want 1±%g", b, sum, tol)
+		}
 	}
 	return nil
 }

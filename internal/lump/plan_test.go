@@ -3,6 +3,7 @@ package lump
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cdrstoch/internal/spmat"
@@ -150,5 +151,56 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if err := plan.Update(make([]float64, 3)); err == nil {
 		t.Error("short iterate accepted")
+	}
+}
+
+// TestPlanUpdateRejectsCorruptFine corrupts a stochastic fine matrix in
+// place — one entry pushed negative with its row sum kept at 1, or one
+// row scaled to sum 1.1 — and checks that Update, which validates in its
+// scatter pass, still refuses the result.
+func TestPlanUpdateRejectsCorruptFine(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	part, err := PairsWithinSegments(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, 16)
+	for i := range x {
+		x[i] = rng.Float64() + 0.01
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(vals []float64)
+		want    string
+	}{
+		{"negative entry", func(vals []float64) {
+			// Row 3's first two entries trade mass: the sum stays 1, the
+			// first entry drops to −0.01.
+			d := vals[0] + 0.01
+			vals[0] -= d
+			vals[1] += d
+		}, "negative probability"},
+		{"row sum 1.1", func(vals []float64) {
+			for k := range vals {
+				vals[k] *= 1.1
+			}
+		}, "row 1 sums to"},
+	} {
+		p := randomStochasticCSR(16, rng)
+		plan, err := NewPlan(p, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plan.Update(x); err != nil {
+			t.Fatalf("%s: clean matrix rejected: %v", tc.name, err)
+		}
+		tc.corrupt(p.RawValues()[3*16 : 4*16]) // row 3 of the dense chain, in block 1
+		err = plan.Update(x)
+		if err == nil {
+			t.Fatalf("%s: corrupt fine matrix accepted", tc.name)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "coarse TPM not stochastic") || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: error %q, want %q", tc.name, msg, tc.want)
+		}
 	}
 }

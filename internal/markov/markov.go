@@ -299,7 +299,7 @@ func (c *Chain) initial(opt Options) ([]float64, error) {
 // StationaryPower computes the stationary distribution by (optionally
 // damped) power iteration x ← α·xP + (1−α)·x. This is the paper's baseline
 // "Gauss–Jacobi" iteration; the multigrid solver smooths with relaxed
-// Gauss–Seidel or weighted Jacobi instead (see package multigrid).
+// Gauss–Seidel instead (see package multigrid).
 func (c *Chain) StationaryPower(opt Options) (Result, error) {
 	opt = opt.withDefaults(c.N())
 	ws := opt.workspace(c.N())

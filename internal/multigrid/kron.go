@@ -12,25 +12,30 @@ import (
 )
 
 // kronLevel is an implicit finest level: the TPM exists only as a
-// Kronecker descriptor. Smoothing runs matrix-free through the
-// descriptor's shuffle products (weighted Jacobi — the one splitting that
-// needs only y = x·P and the diagonal, both of which a descriptor provides
-// without a transpose). Restriction lumps the innermost tensor mode — the
-// phase-error discretization in the CDR model — agg pairings at once into
-// the explicit coarse level below, roughly 2^agg smaller than the global
-// nnz. That level's sparsity pattern is fixed at construction; each cycle
-// rewrites only its values with the iterate-weighted (Horton–Leutenegger)
-// aggregation, so cycles allocate nothing.
+// Kronecker descriptor, read through its innermost-mode segment view
+// (kron.SegmentView). Smoothing is the same relaxed Gauss–Seidel sweep the
+// explicit levels run, taken one segment at a time: the inflow from other
+// segments is scattered through the innermost factors' rows, then the
+// diagonal block is swept point by point through their transposed rows.
+// It is serial, like every Gauss–Seidel sweep. Restriction lumps the
+// innermost tensor mode — the phase-error discretization in the CDR model
+// — agg pairings at once into the explicit coarse level below, roughly
+// 2^agg smaller than the global nnz. That level's sparsity pattern is
+// fixed at construction; each cycle rewrites only its values with the
+// iterate-weighted (Horton–Leutenegger) aggregation, walking the same
+// segment lists, so cycles allocate nothing.
 type kronLevel struct {
 	d   *kron.Descriptor
+	sv  *kron.SegmentView
 	agg int // innermost-mode pairings folded into the restriction
 	m   int // fine innermost (phase) size
 	mc  int // coarse innermost size after agg pairings
 
-	diag  []float64 // fine diagonal, cached at construction
 	ws    kron.Workspace
 	y     []float64 // fine product buffer
-	it    *kron.RowIter
+	acc   []float64 // one segment's inflow, m long
+	slot  []int     // coarse column → value index of the coarse row being refreshed
+	ops   int       // multiply-adds of one sweep
 	omega float64
 	pool  *spmat.Pool
 
@@ -45,9 +50,9 @@ type kronLevel struct {
 // ceiling of m/2), producing an explicit coarse level of nc states; parts
 // then describes the explicit hierarchy below that level exactly as for
 // New (empty parts solve the coarse level directly with GTH).
-// Construction enumerates every implicit fine row once to fix the coarse
-// sparsity pattern — O(global nnz) time but only O(coarse nnz) memory,
-// which is the point: the global matrix never exists.
+// Construction walks every implicit block once to fix the coarse sparsity
+// pattern — O(global nnz) time but only O(coarse nnz) memory, which is
+// the point: the global matrix never exists.
 func NewKron(d *kron.Descriptor, aggLevels int, parts []*lump.Partition, cfg Config) (*Solver, error) {
 	sizes := d.Sizes()
 	if len(sizes) == 0 {
@@ -70,11 +75,13 @@ func NewKron(d *kron.Descriptor, aggLevels int, parts []*lump.Partition, cfg Con
 	n := d.Dim()
 	nc := n / m * mc
 	s := newSolver(cfg)
+	sv := d.SegmentView()
 	lv := &kronLevel{
-		d: d, agg: aggLevels, m: m, mc: mc,
-		diag:  d.Diag(),
+		d: d, sv: sv, agg: aggLevels, m: m, mc: mc,
 		y:     make([]float64, n),
-		it:    d.NewRowIter(),
+		acc:   make([]float64, m),
+		slot:  make([]int, nc),
+		ops:   int(sv.OpsPerSweep()),
 		omega: s.cfg.Damping,
 		pool:  s.pool,
 		xcOld: make([]float64, nc),
@@ -113,28 +120,30 @@ func (lv *kronLevel) blockSize(I int) int {
 }
 
 // buildCoarsePattern fixes the coarse matrix's sparsity: the union, over
-// each aggregate's fine rows, of the aggregated column indices. Values
-// start at zero; refreshCoarse rewrites them every cycle.
+// each aggregate's fine rows, of the aggregated column indices, found by
+// the walk refreshCoarse takes (same lists, same zero skip). Values start
+// at zero; refreshCoarse rewrites them every cycle.
 func (lv *kronLevel) buildCoarsePattern(nc int) (*spmat.CSR, error) {
 	rowPtr := make([]int, nc+1)
 	var colIdx []int
-	var scratch []int
-	visit := func(j int, _ float64) {
-		scratch = append(scratch, lv.blockOf(j))
-	}
+	seen := lv.slot // seen[J] == I+1: column J is already in row I
 	for I := 0; I < nc; I++ {
-		scratch = scratch[:0]
+		row := len(colIdx)
 		seg := I / lv.mc
-		lo := (I % lv.mc) << lv.agg
-		for p := lo; p < lo+lv.blockSize(I); p++ {
-			lv.it.Row(seg*lv.m+p, visit)
-		}
-		sort.Ints(scratch)
-		for k, J := range scratch {
-			if k == 0 || J != scratch[k-1] {
-				colIdx = append(colIdx, J)
+		p0 := (I % lv.mc) << lv.agg
+		for p := p0; p < p0+lv.blockSize(I); p++ {
+			for _, e := range lv.sv.From(seg) {
+				cols, vals := lv.sv.Factors[e.Term].Row(p)
+				for k, q := range cols {
+					J := e.Dst*lv.mc + q>>lv.agg
+					if vals[k] != 0 && seen[J] != I+1 {
+						seen[J] = I + 1
+						colIdx = append(colIdx, J)
+					}
+				}
 			}
 		}
+		sort.Ints(colIdx[row:])
 		rowPtr[I+1] = len(colIdx)
 	}
 	pc, err := spmat.NewCSR(nc, nc, rowPtr, colIdx, make([]float64, len(colIdx)))
@@ -148,7 +157,9 @@ func (lv *kronLevel) buildCoarsePattern(nc int) (*spmat.CSR, error) {
 // aggregation weights — Pc[I][J] = Σ_{i∈I} (x_i/‖x‖_I)·Σ_{j∈J} P_ij — and
 // leaves the block masses ‖x‖_I in xcOld for the later disaggregation.
 // Aggregates that carry no iterate mass fall back to uniform weights so
-// the coarse chain stays stochastic.
+// the coarse chain stays stochastic. Each coarse row loads its column →
+// value-index map into slot once, then its fine rows scatter straight
+// into the values.
 func (lv *kronLevel) refreshCoarse(x []float64) {
 	pc := lv.next.p
 	vals := pc.RawValues()
@@ -157,41 +168,89 @@ func (lv *kronLevel) refreshCoarse(x []float64) {
 	for i, v := range x {
 		lv.xcOld[lv.blockOf(i)] += v
 	}
-	var curI int
-	var curW float64
-	visit := func(j int, v float64) {
-		vals[pc.EntryIndex(curI, lv.blockOf(j))] += curW * v
-	}
-	for i := range x {
-		curI = lv.blockOf(i)
-		if mass := lv.xcOld[curI]; mass > 0 {
-			curW = x[i] / mass
-		} else {
-			curW = 1 / float64(lv.blockSize(curI))
+	row := 0 // value index of coarse row I's first entry
+	for I, mass := range lv.xcOld {
+		cols, _ := pc.Row(I)
+		for k, J := range cols {
+			lv.slot[J] = row + k
 		}
-		if curW == 0 {
-			continue
+		row += len(cols)
+		seg := I / lv.mc
+		p0 := (I % lv.mc) << lv.agg
+		size := lv.blockSize(I)
+		for p := p0; p < p0+size; p++ {
+			w := 1 / float64(size)
+			if mass > 0 {
+				w = x[seg*lv.m+p] / mass
+			}
+			if w == 0 {
+				continue
+			}
+			for _, e := range lv.sv.From(seg) {
+				fc, fv := lv.sv.Factors[e.Term].Row(p)
+				base := e.Dst * lv.mc
+				cw := w * e.Coeff
+				for k, q := range fc {
+					if g := fv[k]; g != 0 {
+						vals[lv.slot[base+q>>lv.agg]] += cw * g
+					}
+				}
+			}
 		}
-		lv.it.Row(i, visit)
 	}
 }
 
-// smooth runs steps weighted-Jacobi sweeps on the implicit level:
-// x_i ← (1−ω)x_i + ω·((x·P)_i − P_ii·x_i)/(1 − P_ii), the transpose-free
-// splitting, with one shuffle product per sweep accounted on the pool.
+// smooth runs steps lexicographic relaxed Gauss–Seidel sweeps on the
+// implicit level, x_i ← (1−ω)x_i + ω·Σ_{j≠i} P_ji x_j / (1 − P_ii), one
+// segment at a time: the inflow from the other segments, at their current
+// values (earlier segments already swept), is scattered through the
+// innermost factor rows into acc, then the diagonal block is swept point
+// by point through the transposed innermost rows. Every update reads the values gaussSeidel
+// reads on the materialized Pᵀ, so the two agree up to summation order.
+// Each sweep is accounted on the pool with its multiply-add count.
 func (lv *kronLevel) smooth(x []float64, steps int) {
 	omega := lv.omega
+	sv, m, acc := lv.sv, lv.m, lv.acc
 	for t := 0; t < steps; t++ {
-		lv.residual(lv.y, x)
-		for i := range x {
-			den := 1 - lv.diag[i]
-			if den < 1e-14 {
-				continue // absorbing-in-isolation state: leave mass as is
+		start := time.Now()
+		for s := 0; s < sv.Segments; s++ {
+			clear(acc)
+			for _, e := range sv.Into(s) {
+				f := sv.Factors[e.Term]
+				for p, xp := range x[e.Src*m : (e.Src+1)*m] {
+					if xp == 0 {
+						continue
+					}
+					cx := e.Coeff * xp
+					cols, vals := f.Row(p)
+					for k, q := range cols {
+						acc[q] += cx * vals[k]
+					}
+				}
 			}
-			gs := (lv.y[i] - lv.diag[i]*x[i]) / den
-			x[i] = (1-omega)*x[i] + omega*gs
+			xs := x[s*m : (s+1)*m]
+			within := sv.Within(s)
+			for q := range xs {
+				sum, diag := acc[q], 0.0
+				for _, e := range within {
+					cols, vals := sv.FactorsT[e.Term].Row(q)
+					for k, p := range cols {
+						if p == q {
+							diag += e.Coeff * vals[k]
+						} else {
+							sum += e.Coeff * vals[k] * xs[p]
+						}
+					}
+				}
+				if 1-diag < 1e-14 {
+					continue // absorbing-in-isolation state: leave mass as is
+				}
+				gs := sum / (1 - diag)
+				xs[q] = (1-omega)*xs[q] + omega*gs
+			}
 		}
 		normalize(x)
+		lv.pool.CountExternal(1, lv.ops, start)
 	}
 }
 

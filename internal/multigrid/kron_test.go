@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cdrstoch/internal/kron"
+	"cdrstoch/internal/lump"
 	"cdrstoch/internal/obs/cost"
 	"cdrstoch/internal/spmat"
 )
@@ -193,5 +194,123 @@ func TestKronSolverCostAccounting(t *testing.T) {
 	// the explicit level below.
 	if len(res.LevelSizes) != 3 || len(rep.Levels) != 3 || len(res.LevelStats) != 3 {
 		t.Fatalf("levels: sizes %v, meter %d, stats %d", res.LevelSizes, len(rep.Levels), len(res.LevelStats))
+	}
+}
+
+// randomSparseFactor returns an n×n factor with entries in [0, 1/n):
+// sparse, with some rows left empty and no stochasticity implied.
+func randomSparseFactor(n int, rng *rand.Rand) *spmat.CSR {
+	tr := spmat.NewTriplet(n, n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(4) == 0 {
+			continue // empty row
+		}
+		for j := 0; j < n; j++ {
+			if rng.Intn(2) == 0 {
+				tr.Add(i, j, rng.Float64()/float64(n))
+			}
+		}
+	}
+	return tr.ToCSR()
+}
+
+// TestKronSolverGaussSeidelMatchesMaterialized pins the segment-wise
+// smoother to the explicit one: one and three sweeps of the implicit
+// level's Gauss–Seidel against gaussSeidel on the materialized Pᵀ, on
+// random descriptors with one and three modes, a zero-coefficient term,
+// empty factor rows and a ragged innermost size.
+func TestKronSolverGaussSeidelMatchesMaterialized(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, sizes := range [][]int{{13}, {3, 2, 7}, {2, 4, 9}} {
+		var terms []kron.Term
+		for ti := 0; ti < 3; ti++ {
+			f := make([]*spmat.CSR, len(sizes))
+			for c, n := range sizes {
+				f[c] = randomSparseFactor(n, rng)
+			}
+			coeff := rng.Float64()
+			if ti == 1 {
+				coeff = 0
+			}
+			terms = append(terms, kron.Term{Coeff: coeff, Factors: f})
+		}
+		d, err := kron.NewDescriptor(terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt := d.ToCSR().T()
+		s, err := NewKron(d, 1, nil, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lv := s.levels[0].(*kronLevel)
+		for _, steps := range []int{1, 3} {
+			x := make([]float64, d.Dim())
+			for i := range x {
+				x[i] = rng.Float64() + 0.01
+			}
+			normalize(x)
+			want := append([]float64(nil), x...)
+			lv.smooth(x, steps)
+			gaussSeidel(pt, want, steps, s.cfg.Damping)
+			scale := 0.0
+			for _, v := range want {
+				scale = math.Max(scale, math.Abs(v))
+			}
+			if diff := maxAbsDiff(x, want); diff > 1e-13*scale {
+				t.Errorf("sizes %v, %d sweeps: max diff %g (scale %g)", sizes, steps, diff, scale)
+			}
+		}
+	}
+}
+
+// TestKronSolverMatchesExplicitFold runs the kron solver against the
+// explicit solver on the materialized matrix, with the implicit level's
+// two-pairing restriction written out as one explicit partition: the two
+// take the same cycles, so they must converge in the same number of
+// cycles to the same π.
+func TestKronSolverMatchesExplicitFold(t *testing.T) {
+	for _, phase := range []int{16, 7} {
+		d := kronTestDescriptor(t, 32, phase)
+		mc := (phase + 3) / 4
+		segs := d.Dim() / phase
+		blockOf := make([]int, d.Dim())
+		for i := range blockOf {
+			blockOf[i] = i/phase*mc + (i%phase)>>2
+		}
+		fold, err := lump.NewPartition(blockOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := BuildPairHierarchy(mc, segs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Tol: 1e-13, Cycle: WCycle, PreSmooth: 2, PostSmooth: 2}
+		ks, err := NewKron(d, 2, parts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		es, err := New(d.ToCSR(), append([]*lump.Partition{fold}, parts...), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kres, err := ks.Solve(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eres, err := es.Solve(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !kres.Converged || !eres.Converged {
+			t.Fatalf("phase %d: kron %v, explicit %v", phase, kres, eres)
+		}
+		if kres.Cycles != eres.Cycles {
+			t.Errorf("phase %d: kron %d cycles, explicit %d", phase, kres.Cycles, eres.Cycles)
+		}
+		if diff := maxAbsDiff(kres.Pi, eres.Pi); diff > 1e-12 {
+			t.Errorf("phase %d: π differs by %g", phase, diff)
+		}
 	}
 }

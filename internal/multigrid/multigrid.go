@@ -6,10 +6,11 @@
 // and expanding steps, and an exact direct solve (subtraction-free GTH)
 // at the coarsest level.
 //
-// Explicit (CSR) levels smooth with relaxed Gauss–Seidel over the level's
-// transpose. A finest level kept implicit as a Kronecker descriptor
-// (NewKron) has no transpose to sweep, so it smooths with weighted Jacobi
-// over one shuffle product per sweep; every level below it is explicit.
+// Every level smooths with relaxed Gauss–Seidel: explicit (CSR) levels
+// sweep the level's transpose, and a finest level kept implicit as a
+// Kronecker descriptor (NewKron) sweeps the same updates segment by
+// segment through the descriptor's innermost factors and their
+// transposes; every level below it is explicit.
 //
 // The coarsening strategy is supplied by the caller as a chain of
 // partitions; for the CDR model, each partition lumps pairs of consecutive
@@ -47,15 +48,15 @@ const (
 
 // Config tunes the multilevel solver.
 type Config struct {
-	// PreSmooth is the number of smoothing sweeps before descending to the
-	// coarse level: relaxed Gauss–Seidel on explicit levels, weighted
-	// Jacobi on an implicit Kronecker finest level. Default 1.
+	// PreSmooth is the number of relaxed Gauss–Seidel sweeps before
+	// descending to the coarse level, on every level the implicit
+	// Kronecker finest level included. Default 1.
 	PreSmooth int
-	// PostSmooth is the number of smoothing sweeps (of the same kind)
-	// after the coarse-grid correction. Default 1.
+	// PostSmooth is the number of Gauss–Seidel sweeps after the
+	// coarse-grid correction. Default 1.
 	PostSmooth int
-	// Damping is the smoothers' relaxation factor ω (plain Gauss–Seidel or
-	// Jacobi when 1, under-relaxed below 1). Default 0.9, robust on nearly
+	// Damping is the smoother's relaxation factor ω (plain Gauss–Seidel
+	// when 1, under-relaxed below 1). Default 0.9, robust on nearly
 	// periodic chains.
 	Damping float64
 	// Tol is the convergence threshold on ‖xP − x‖₁. Default 1e-12.
@@ -81,9 +82,10 @@ type Config struct {
 	// products the cycle performs (the per-cycle residual on the finest
 	// level). 0 selects runtime.GOMAXPROCS, 1 forces serial; matrices
 	// below spmat.ParallelCutoff run serially regardless. The Gauss–Seidel
-	// sweeps are inherently sequential and are not parallelized; an
-	// implicit finest level's shuffle products use the descriptor's own
-	// width (kron.Descriptor.SetWorkers). Ignored when Pool is set.
+	// sweeps are inherently sequential and are not parallelized, the
+	// implicit Kronecker level's segment sweeps included; that level's
+	// residual shuffle products use the descriptor's own width
+	// (kron.Descriptor.SetWorkers). Ignored when Pool is set.
 	Workers int
 	// Pool, when non-nil, supplies an externally owned worker team (the
 	// service path shares pooled teams across requests so concurrent
@@ -452,7 +454,8 @@ func (s *Solver) levelStats() []LevelStat {
 
 // workspaceBytes estimates the hierarchy's heap footprint beyond the
 // caller's finest operator: coarse matrices, transposes, iterate buffers
-// and, on an implicit level, its vectors and shuffle scratch.
+// and, on an implicit level, its vectors, shuffle scratch and segment
+// view.
 func (s *Solver) workspaceBytes() int64 {
 	var b int64
 	for k, lv := range s.levels {
@@ -464,8 +467,9 @@ func (s *Solver) workspaceBytes() int64 {
 			b += lv.pt.MemoryBytes()
 			b += int64(len(lv.perm))*8 + int64(len(lv.xc))*8
 		case *kronLevel:
-			b += int64(len(lv.diag)+len(lv.y)+len(lv.xcOld)+len(lv.xc)) * 8
+			b += int64(len(lv.y)+len(lv.acc)+len(lv.slot)+len(lv.xcOld)+len(lv.xc)) * 8
 			b += 2 * int64(len(lv.y)) * 8 // shuffle ping-pong scratch
+			b += lv.sv.MemoryBytes()
 		}
 	}
 	return b
